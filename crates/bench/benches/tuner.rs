@@ -49,7 +49,7 @@ fn bench_tune(c: &mut Criterion) {
             &threads,
             |b, &threads| {
                 let options = tuner_options(threads);
-                b.iter(|| tune(&spec, &raw, &options).unwrap());
+                b.iter(|| tune(&spec, &raw, &options, None).unwrap());
             },
         );
     }

@@ -352,11 +352,12 @@ pub struct CheckpointSpeedRow {
     pub decompress_seconds: f64,
 }
 
-/// The checkpointed-container trade-off measurement: the same large
-/// gzip store-address trace compressed with and without checkpoints,
-/// decompressed serially and with a worker pool. Checkpoints cost
-/// container bytes and buy span-parallel decompression; both sides of
-/// the trade are informational — sizes here are never golden-pinned.
+/// The checkpointed-container cost measurement: the same large gzip
+/// store-address trace compressed with and without checkpoints, and
+/// decompressed at one and four threads. Checkpoints are a seek index
+/// ([`tcgen_engine::extract_range`]): decoding is sequential and skips
+/// their frames, so the rows price the container bytes and the
+/// snapshot packing they cost — informational, never golden-pinned.
 #[derive(Debug, Clone)]
 pub struct CheckpointSpeed {
     /// Base record count handed to the trace generator.
@@ -376,13 +377,11 @@ pub struct CheckpointSpeed {
 /// each one's best. Losslessness is asserted on every pass by
 /// [`measure`].
 ///
-/// The checkpointed rows are informational, not a speedup claim: a
-/// TCGEN_A predictor-state snapshot is ~20 MB raw, so on a trace of
-/// this size (~29 MB) the per-span restore cost is of the same order
-/// as the replay it saves, and the rows mostly price that overhead.
-/// Checkpoints pay off when the payload between checkpoints is much
-/// larger than the predictor state — the interval here is chosen so a
-/// four-worker decode gets one span each, not for container economy.
+/// The checkpointed rows are informational: they price what the seek
+/// index costs a full compress/decompress round trip — snapshot packing
+/// on the compress side, reading past the (multi-MB, on this dense
+/// trace) snapshot frames on the decode side — against the sequential
+/// baseline at the same interval the seek-range benchmark uses.
 ///
 /// # Panics
 ///

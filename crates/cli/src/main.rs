@@ -106,8 +106,7 @@ fn usage() -> String {
      --block-records N  records per compressed block (0 = whole trace)\n\
      --checkpoint-blocks N  write a predictor-state checkpoint every N blocks\n\
      \x20                   plus a seekable footer (0 = off, the default).\n\
-     \x20                   Checkpointed containers decompress in parallel\n\
-     \x20                   and support `tcgen cat --range`\n\
+     \x20                   The footer is a seek index for `tcgen cat --range`\n\
      --range A..B       record range (absolute indices) for `cat`; the whole\n\
      \x20                   trace when omitted. Without a checkpoint footer,\n\
      \x20                   cat falls back to a sequential decompress\n\
@@ -675,9 +674,8 @@ fn tune(args: &[String]) -> Result<(), String> {
     let raw =
         std::fs::read(trace_path).map_err(|e| format!("cannot read {trace_path}: {e}"))?;
     let recorder = stats.recorder();
-    let outcome =
-        tcgen_tuner::tune_with_telemetry(tcgen.spec(), &raw, &options, recorder.as_ref())
-            .map_err(|e| e.to_string())?;
+    let outcome = tcgen_tuner::tune(tcgen.spec(), &raw, &options, recorder.as_ref())
+        .map_err(|e| e.to_string())?;
     // Progress feedback rides on the telemetry switch so scripted
     // pipelines stay quiet by default.
     if stats.stats {

@@ -6,8 +6,12 @@ fn tcgen() -> Command {
     Command::new(env!("CARGO_BIN_EXE_tcgen"))
 }
 
+/// A fresh directory per call: the test runner runs tests in parallel,
+/// and tests writing the same file names into one directory would race.
 fn tempdir() -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("tcgen-cli-test-{}", std::process::id()));
+    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("tcgen-cli-test-{}-{n}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
     dir
 }

@@ -1,4 +1,4 @@
-//! The compression and decompression loops plus the container format.
+//! The compress and decompress drivers plus the container format.
 //!
 //! Container layout (all integers little-endian):
 //!
@@ -14,6 +14,15 @@
 //! engine configuration can decompress any container (speed-only options
 //! do not change the streams).
 //!
+//! ## One driver per direction
+//!
+//! Every compress path runs [`compress`], generic over where records
+//! come from ([`RecordSource`]: a borrowed slice for
+//! [`crate::Engine::compress`], a reader for [`crate::compress_stream`])
+//! and where container bytes go (any [`Write`]). Every decompress path
+//! runs [`decompress`], generic over a [`ByteSource`] and a [`Sink`];
+//! [`crate::extract_range`] reuses its per-block step, [`BlockDecoder`].
+//!
 //! ## Threading model
 //!
 //! Predictor modeling is serial *per field* — every record's prediction
@@ -25,44 +34,48 @@
 //! * [`EngineOptions::model_threads`] fans the per-field column jobs of
 //!   the columnar modeling/replay stage ([`crate::columnar`]) out to a
 //!   worker pool.
-//! * [`EngineOptions::threads`] fans the `2 * n_fields` blockzip
-//!   segments of each finished block out to a second pool, assembling
-//!   results strictly in submission order.
+//! * [`EngineOptions::threads`] fans the `2 * n_fields` segments of each
+//!   finished block out to a second pool, assembling results strictly in
+//!   submission order. Decompression inflates segments a bounded number
+//!   of blocks ahead of replay on the same kind of pool.
 //!
 //! Both pools hand results back deterministically, so the container is
-//! byte-identical for every setting of either knob. Decompression
-//! mirrors this: a structural pass collects every block's segment ranges
-//! (validating all lengths against the remaining input), workers inflate
-//! segments a bounded number of blocks ahead, and the columnar replay
-//! stage reconstructs each block as its segments arrive.
+//! byte-identical for every setting of either knob. A knob of `1` is a
+//! pool of one, which runs its jobs inline on the driver thread — not a
+//! separate code path.
 //!
-//! Checkpointed containers ([`EngineOptions::checkpoint_blocks`]) break
-//! the one remaining serial chain: every checkpoint frame carries a full
-//! predictor-state snapshot, so the blocks between two checkpoints form a
-//! *span* that replays independently of every other span. When a
-//! container has checkpoints and more than one thread is available,
-//! decompression fans one ordered replay job per span onto the pool —
-//! modeling itself, not just segment inflation, runs concurrently.
+//! Decoding is sequential: replay carries predictor state from block to
+//! block, so the decoder skips checkpoint frames
+//! ([`EngineOptions::checkpoint_blocks`]) and only checks their placement
+//! against the footer. Checkpoints are a seek index: [`crate::extract_range`]
+//! restores the one covering a record range and replays from there.
 
 use std::collections::VecDeque;
+use std::io::Write;
 
 use tcgen_spec::TraceSpec;
 use tcgen_telemetry::{driver_span, OpCounters, Recorder};
 
-use crate::columnar::{Modeler, Replayer};
+use crate::columnar::{Modeler, ReplayPipe, Replayer};
 use crate::container::{self, BLOCK_MARKER, CHECKPOINT_MARKER, END_MARKER, PRELUDE_LEN};
 use crate::options::EngineOptions;
 use crate::pool::{Pipeline, PoolTelemetry};
-use crate::postcodec::PostCodec;
+use crate::postcodec::{Backend, PostCodec};
+use crate::stream_io::StreamError;
 use crate::streams::BlockStreams;
 use crate::usage::UsageReport;
 use crate::Error;
 
-/// How many blocks the parallel pipelines run ahead of the serial stage.
-/// Bounds peak memory at roughly this many blocks of streams per thread
-/// pool while keeping every worker busy.
-fn max_blocks_ahead(threads: usize) -> usize {
-    2 * threads
+/// Upper bound on records per block, so a whole-trace setting (`0`)
+/// still streams in bounded memory.
+pub(crate) const MAX_BLOCK_RECORDS: usize = 1 << 24;
+
+/// How many blocks a driver keeps in flight between its serial stage
+/// (modeling or replay) and the segment pool: enough to keep `threads`
+/// workers busy, and exactly one for an inline pool, so each block's
+/// segments are consumed while they are still in cache.
+fn blocks_in_flight(threads: usize) -> usize {
+    2 * threads - 1
 }
 
 /// FNV-1a hash of the canonical specification text; stored in the
@@ -76,214 +89,282 @@ pub fn spec_hash(spec: &TraceSpec) -> u32 {
     h
 }
 
-/// Compresses `raw` (a trace matching `spec`) into a TCGZ container.
-/// When `usage` is given, predictor-usage counters are accumulated.
-///
-/// With [`EngineOptions::threads`] or [`EngineOptions::model_threads`]
-/// above one, block segments and per-field modeling jobs are fanned out
-/// to worker pools; the output bytes do not depend on either count.
-pub fn compress(
-    spec: &TraceSpec,
-    options: &EngineOptions,
-    raw: &[u8],
-    usage: Option<&mut UsageReport>,
-) -> Result<Vec<u8>, Error> {
-    compress_with_hash(spec, options, spec_hash(spec), raw, usage, None)
+/// A post-codec for `backend` with `tel`'s stage probes attached.
+fn probed(
+    backend: Backend,
+    level: blockzip::Level,
+    tel: Option<&Recorder>,
+) -> Box<dyn PostCodec> {
+    let mut codec = backend.codec(level);
+    if let Some(rec) = tel {
+        codec.attach_probes(rec);
+    }
+    codec
 }
 
-/// [`compress`] with the spec hash already computed and an optional
-/// telemetry recorder. Telemetry is purely observational: the container
-/// bytes are identical with and without a recorder attached.
-pub(crate) fn compress_with_hash(
+/// The codec for checkpoint snapshot frames — always the fast
+/// range-coder backend, regardless of the backend packing the block
+/// segments. Snapshots are sparse since format version 2: occupancy
+/// bitmaps skip every never-touched table line, so a frame scales with
+/// the touched working set (kilobytes early in a trace) instead of the
+/// tens of megabytes the paper's TCGEN_A tables span. Routing them
+/// through the `max` BWT chain would spend more time packing state than
+/// seeking saves. The choice is part of the checkpointed container
+/// format: every writer and every reader opens snapshot frames with this
+/// codec.
+pub(crate) fn checkpoint_codec(
+    level: blockzip::Level,
+    tel: Option<&Recorder>,
+) -> Box<dyn PostCodec> {
+    probed(Backend::Fast, level, tel)
+}
+
+/// Where the compress driver reads a trace from.
+pub(crate) trait RecordSource {
+    /// The passthrough header, read first.
+    fn header(&mut self) -> Result<&[u8], StreamError>;
+    /// The next run of at most `max` whole records; empty at the end.
+    fn records(&mut self, max: usize) -> Result<&[u8], StreamError>;
+}
+
+/// A trace held in memory: records are borrowed, never copied.
+pub(crate) struct SliceRecords<'a> {
+    raw: &'a [u8],
+    pos: usize,
+    header_len: usize,
+    record_len: usize,
+}
+
+impl<'a> SliceRecords<'a> {
+    pub(crate) fn new(raw: &'a [u8], spec: &TraceSpec) -> Self {
+        let header_len = spec.header_bytes() as usize;
+        Self { raw, pos: 0, header_len, record_len: spec.record_bytes() as usize }
+    }
+}
+
+impl RecordSource for SliceRecords<'_> {
+    fn header(&mut self) -> Result<&[u8], StreamError> {
+        let (len, header_len, record_len) = (self.raw.len(), self.header_len, self.record_len);
+        if len < header_len || !(len - header_len).is_multiple_of(record_len) {
+            return Err(Error::PartialRecord { len, header_len, record_len }.into());
+        }
+        self.pos = header_len;
+        Ok(&self.raw[..header_len])
+    }
+
+    fn records(&mut self, max: usize) -> Result<&[u8], StreamError> {
+        let take = ((self.raw.len() - self.pos) / self.record_len).min(max) * self.record_len;
+        self.pos += take;
+        Ok(&self.raw[self.pos - take..self.pos])
+    }
+}
+
+/// Tallies bytes flowing to the inner writer: footer offsets and the
+/// `compress.bytes_out` counter come from here.
+struct CountingWriter<'a, W: Write> {
+    inner: &'a mut W,
+    written: u64,
+}
+
+impl<W: Write> Write for CountingWriter<'_, W> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let n = self.inner.write(buf)?;
+        self.written += n as u64;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.inner.flush()
+    }
+}
+
+/// The pack pool: each worker consumes a segment payload and hands it
+/// back (cleared, capacity intact) alongside the packed bytes, so block
+/// stream buffers are recycled instead of reallocated every block.
+type PackPipe = Pipeline<'static, Vec<u8>, (Vec<u8>, Result<Vec<u8>, blockzip::Error>)>;
+
+/// A block whose segments are on the pack pool: its record count and the
+/// packed checkpoint frame that precedes it, if it opens an interval.
+type PendingBlock = (u32, Option<Vec<u8>>);
+
+/// Checkpoint state of a compress run: the interval, the block index
+/// accumulated as frames are written, and the snapshot codec.
+struct Checkpoints {
+    interval: usize,
+    footer: container::Footer,
+    codec: Box<dyn PostCodec>,
+}
+
+/// The compress driver: reads records from `source`, models them a block
+/// at a time, post-compresses each block's segments on the pack pool,
+/// and writes the container — checkpoint frames and footer included — to
+/// `sink`. When `usage` is given, predictor-usage counters are
+/// accumulated. Telemetry is purely observational: the container bytes
+/// are identical with and without a recorder.
+pub(crate) fn compress(
     spec: &TraceSpec,
     options: &EngineOptions,
     hash: u32,
-    raw: &[u8],
+    source: &mut impl RecordSource,
+    sink: &mut impl Write,
     mut usage: Option<&mut UsageReport>,
     tel: Option<&Recorder>,
-) -> Result<Vec<u8>, Error> {
-    let header_len = spec.header_bytes() as usize;
-    let record_len = spec.record_bytes() as usize;
-    if raw.len() < header_len || !(raw.len() - header_len).is_multiple_of(record_len) {
-        return Err(Error::PartialRecord { len: raw.len(), header_len, record_len });
-    }
+) -> Result<(), StreamError> {
     let _op_span = driver_span(tel, "compress");
-    let counters = tel.map(OpCounters::compress);
+    let mut out = CountingWriter { inner: sink, written: 0 };
+    let header = source.header()?;
+    let header_len = header.len();
+    out.write_all(&container::prelude(options.flags(), hash, header_len as u16))?;
+    out.write_all(header)?;
 
-    let mut out = Vec::with_capacity(raw.len() / 8 + 64);
-    out.extend_from_slice(&container::prelude(options.flags(), hash, header_len as u16));
-    out.extend_from_slice(&raw[..header_len]);
-
-    let body = &raw[header_len..];
-    let total = body.len() / record_len;
-    let block_records = options.effective_block_records();
+    let record_len = spec.record_bytes() as usize;
+    let block_records = options.effective_block_records().min(MAX_BLOCK_RECORDS);
     let threads = options.effective_threads();
-    let model_threads = options.effective_model_threads();
     let mut modeler = Modeler::new(spec, options);
+    let model_pipe = Modeler::pipe(options.effective_model_threads(), tel);
+    let pack: PackPipe = Pipeline::start_instrumented(
+        threads,
+        PoolTelemetry::from(tel, "pack", options.backend.pack_span()),
+        || {
+            let mut codec = probed(options.backend, options.level, tel);
+            move |mut payload: Vec<u8>| {
+                let packed = codec.compress(&payload);
+                payload.clear();
+                (payload, packed)
+            }
+        },
+    );
+    let mut checkpoints = (options.checkpoint_blocks > 0).then(|| Checkpoints {
+        interval: options.checkpoint_blocks,
+        footer: container::Footer::default(),
+        codec: checkpoint_codec(options.level, tel),
+    });
     let mut streams = BlockStreams::new(spec.fields.len());
-
-    let out = (|| -> Result<Vec<u8>, Error> {
-        let model_pipe = (model_threads > 1).then(|| Modeler::pipe(model_threads, tel));
-        let model_pipe = model_pipe.as_ref();
-        // With checkpointing on, the block index is accumulated alongside
-        // the container bytes and appended after the end marker. Snapshot
-        // payloads get their own (fast, format-fixed) codec.
-        let mut footer = (options.checkpoint_blocks > 0).then(container::Footer::default);
-        let mut ckpt_codec = footer.is_some().then(|| {
-            let mut c = checkpoint_codec(options.level);
-            if let Some(rec) = tel {
-                c.attach_probes(rec);
-            }
-            c
-        });
-
-        if threads <= 1 {
-            let mut codec = options.backend.codec(options.level);
-            if let Some(rec) = tel {
-                codec.attach_probes(rec);
-            }
-            let mut pos = 0usize;
-            let mut block_idx = 0usize;
-            while pos < total {
-                let take = block_records.min(total - pos);
-                let chunk = &body[pos * record_len..(pos + take) * record_len];
-                if let Some(f) = footer.as_mut() {
-                    // Snapshot before modeling this block: a replayer that
-                    // restores it stands exactly where sequential replay
-                    // would on entering the block.
-                    if block_idx > 0 && block_idx.is_multiple_of(options.checkpoint_blocks) {
-                        let _s = driver_span(tel, "checkpoint.pack");
-                        let ck =
-                            ckpt_codec.as_mut().expect("footer implies a checkpoint codec");
-                        let packed =
-                            ck.compress(&modeler.snapshot_payload()).map_err(Error::Post)?;
-                        f.push_checkpoint(block_idx as u32, out.len() as u64);
-                        write_checkpoint_frame(&mut out, &packed);
-                    }
-                    f.push_block(out.len() as u64, take as u32);
-                }
-                {
-                    let _s = driver_span(tel, "model.chunk");
-                    modeler.model_chunk(chunk, &mut streams, &mut usage, model_pipe)?;
-                }
-                {
-                    let _s = driver_span(tel, "block.flush");
-                    flush_block(&mut out, &streams, codec.as_mut())?;
-                }
-                if let Some(c) = &counters {
-                    c.blocks.add(1);
-                }
-                streams.clear();
-                pos += take;
-                block_idx += 1;
-            }
-            out.push(END_MARKER);
-            if let Some(f) = &footer {
-                out.extend_from_slice(&f.encode());
-            }
-            return Ok(out);
+    let mut pending: VecDeque<PendingBlock> = VecDeque::new();
+    // Payload buffers back from the pool, oldest first: refilling in the
+    // same order hands each stream the buffer it last grew.
+    let mut free: VecDeque<Vec<u8>> = VecDeque::new();
+    let mut next_checkpoint = None;
+    let (mut blocks, mut records) = (0usize, 0usize);
+    let segs = 2 * spec.fields.len();
+    loop {
+        let chunk = {
+            let _s = driver_span(tel, "io.read");
+            source.records(block_records - streams.records)?
+        };
+        if chunk.is_empty() {
+            break;
         }
-
-        let backend = options.backend;
-        let level = options.level;
-        let pipe = Pipeline::start_instrumented(
-            threads,
-            PoolTelemetry::from(tel, "pack", backend.pack_span()),
-            || {
-                let mut codec = backend.codec(level);
-                if let Some(rec) = tel {
-                    codec.attach_probes(rec);
-                }
-                move |mut payload: Vec<u8>| {
-                    let packed = codec.compress(&payload);
-                    payload.clear();
-                    (payload, packed)
-                }
-            },
-        );
-        let segs_per_block = 2 * spec.fields.len();
-        // Submitted blocks not yet written out: the record count plus the
-        // packed checkpoint frame preceding the block, if any. Snapshots
-        // are packed on the driver with the fixed checkpoint codec, not
-        // routed through the block-segment pool.
-        let mut pending: VecDeque<(u32, Option<Vec<u8>>)> = VecDeque::new();
-        // Stream buffers that came back from the pool, ready for reuse.
-        let mut free: Vec<Vec<u8>> = Vec::new();
-        let mut pos = 0usize;
-        let mut block_idx = 0usize;
-        while pos < total {
-            let take = block_records.min(total - pos);
-            let chunk = &body[pos * record_len..(pos + take) * record_len];
-            let checkpoint = (footer.is_some()
-                && block_idx > 0
-                && block_idx.is_multiple_of(options.checkpoint_blocks))
-            .then(|| -> Result<Vec<u8>, Error> {
-                // Snapshot before modeling this block, same state the
-                // serial path captures — the bytes stay thread-invariant.
-                let _s = driver_span(tel, "checkpoint.pack");
-                let ck = ckpt_codec.as_mut().expect("footer implies a checkpoint codec");
-                ck.compress(&modeler.snapshot_payload()).map_err(Error::Post)
-            })
-            .transpose()?;
-            {
-                let _s = driver_span(tel, "model.chunk");
-                modeler.model_chunk(chunk, &mut streams, &mut usage, model_pipe)?;
-            }
-            submit_block(&pipe, &mut streams, &mut pending, &mut free, checkpoint);
-            if pending.len() > max_blocks_ahead(threads) {
-                let (n, ckpt) = pending.pop_front().expect("pending is non-empty");
-                let _s = driver_span(tel, "block.flush");
-                write_packed_block(
-                    &mut out,
-                    &pipe,
-                    n,
-                    segs_per_block,
-                    &mut free,
-                    ckpt,
-                    footer.as_mut(),
-                )?;
-                if let Some(c) = &counters {
-                    c.blocks.add(1);
-                }
-            }
-            pos += take;
-            block_idx += 1;
+        if let Some(c) = checkpoints
+            .as_mut()
+            .filter(|c| streams.is_empty() && blocks > 0 && blocks.is_multiple_of(c.interval))
+        {
+            // Snapshot before the block's first record is modeled: a
+            // replayer that restores it stands exactly where sequential
+            // replay would on entering the block.
+            let _s = driver_span(tel, "checkpoint.pack");
+            next_checkpoint =
+                Some(c.codec.compress(&modeler.snapshot_payload()).map_err(Error::Post)?);
         }
-        while let Some((n, ckpt)) = pending.pop_front() {
-            let _s = driver_span(tel, "block.flush");
-            write_packed_block(
-                &mut out,
-                &pipe,
-                n,
-                segs_per_block,
-                &mut free,
-                ckpt,
-                footer.as_mut(),
-            )?;
-            if let Some(c) = &counters {
-                c.blocks.add(1);
+        {
+            let _s = driver_span(tel, "model.chunk");
+            modeler.model_chunk(chunk, &mut streams, &mut usage, &model_pipe)?;
+        }
+        records += chunk.len() / record_len;
+        if streams.records == block_records {
+            submit_block(&pack, &mut streams, &mut pending, next_checkpoint.take());
+            blocks += 1;
+            while pending.len() >= blocks_in_flight(threads) {
+                let footer = checkpoints.as_mut().map(|c| &mut c.footer);
+                write_block(&mut out, &pack, &mut pending, segs, &mut free, footer, tel)?;
+            }
+            for buf in streams.fields.iter_mut().flat_map(|f| [&mut f.codes, &mut f.values]) {
+                *buf = free.pop_front().unwrap_or_default();
             }
         }
-        out.push(END_MARKER);
-        if let Some(f) = &footer {
-            out.extend_from_slice(&f.encode());
-        }
-        Ok(out)
-    })()?;
+    }
+    if !streams.is_empty() {
+        submit_block(&pack, &mut streams, &mut pending, next_checkpoint.take());
+        blocks += 1;
+    }
+    while !pending.is_empty() {
+        let footer = checkpoints.as_mut().map(|c| &mut c.footer);
+        write_block(&mut out, &pack, &mut pending, segs, &mut free, footer, tel)?;
+    }
+    out.write_all(&[END_MARKER])?;
+    if let Some(c) = &checkpoints {
+        out.write_all(&c.footer.encode())?;
+    }
+    out.flush()?;
     // Table stats are taken after the run so the occupancy counters
     // reflect every record modeled.
     if let Some(u) = usage {
         modeler.record_table_stats(u);
     }
-    if let Some(c) = &counters {
-        c.bytes_in.add(raw.len() as u64);
-        c.records.add(total as u64);
-        c.bytes_out.add(out.len() as u64);
+    if let Some(c) = tel.map(OpCounters::compress) {
+        c.bytes_in.add((header_len + records * record_len) as u64);
+        c.records.add(records as u64);
+        c.blocks.add(blocks as u64);
+        c.bytes_out.add(out.written);
     }
-    Ok(out)
+    Ok(())
 }
 
-/// Runs the compression loop over the whole trace as a single block and
+/// Hands one finished block's segments to the pack pool in container
+/// order, leaving `streams` empty.
+fn submit_block(
+    pack: &PackPipe,
+    streams: &mut BlockStreams,
+    pending: &mut VecDeque<PendingBlock>,
+    checkpoint: Option<Vec<u8>>,
+) {
+    pending.push_back((streams.records as u32, checkpoint));
+    for fs in &mut streams.fields {
+        pack.submit(std::mem::take(&mut fs.codes));
+        pack.submit(std::mem::take(&mut fs.values));
+    }
+    streams.records = 0;
+}
+
+/// Writes the oldest pending block — its checkpoint frame, if any, then
+/// the block frame — consuming `segs` results from the pack pool in
+/// submission order. Footer entries are recorded here, where the byte
+/// offsets are known; the payload buffers return to `free`.
+fn write_block<W: Write>(
+    out: &mut CountingWriter<'_, W>,
+    pack: &PackPipe,
+    pending: &mut VecDeque<PendingBlock>,
+    segs: usize,
+    free: &mut VecDeque<Vec<u8>>,
+    mut footer: Option<&mut container::Footer>,
+    tel: Option<&Recorder>,
+) -> Result<(), StreamError> {
+    let _s = driver_span(tel, "block.flush");
+    let (n_records, checkpoint) = pending.pop_front().expect("a block is pending");
+    if let Some(packed) = checkpoint {
+        let f = footer.as_deref_mut().expect("checkpoint frames imply a footer");
+        f.push_checkpoint(f.blocks.len() as u32, out.written);
+        out.write_all(&[CHECKPOINT_MARKER])?;
+        out.write_all(&(packed.len() as u32).to_le_bytes())?;
+        out.write_all(&packed)?;
+    }
+    if let Some(f) = footer {
+        f.push_block(out.written, n_records);
+    }
+    out.write_all(&[BLOCK_MARKER])?;
+    out.write_all(&n_records.to_le_bytes())?;
+    for _ in 0..segs {
+        let (payload, packed) =
+            pack.next().map_err(|_| Error::Internal("compression worker panicked".into()))?;
+        free.push_back(payload);
+        let packed = packed.map_err(Error::Post)?;
+        out.write_all(&(packed.len() as u32).to_le_bytes())?;
+        out.write_all(&packed)?;
+    }
+    Ok(())
+}
+
+/// Runs the modeling stage over the whole trace as a single block and
 /// returns the raw, un-post-compressed streams, flattened as
 /// `[field0.codes, field0.values, field1.codes, …]` in declaration order.
 ///
@@ -294,16 +375,13 @@ pub fn raw_streams(
     options: &EngineOptions,
     raw: &[u8],
 ) -> Result<Vec<Vec<u8>>, Error> {
-    let header_len = spec.header_bytes() as usize;
-    let record_len = spec.record_bytes() as usize;
-    if raw.len() < header_len || !(raw.len() - header_len).is_multiple_of(record_len) {
-        return Err(Error::PartialRecord { len: raw.len(), header_len, record_len });
-    }
+    let mut source = SliceRecords::new(raw, spec);
+    source.header().map_err(StreamError::into_codec)?;
     let mut modeler = Modeler::new(spec, options);
     let mut streams = BlockStreams::new(spec.fields.len());
-    let model_threads = options.effective_model_threads();
-    let model_pipe = (model_threads > 1).then(|| Modeler::pipe(model_threads, None));
-    modeler.model_chunk(&raw[header_len..], &mut streams, &mut None, model_pipe.as_ref())?;
+    let pipe = Modeler::pipe(options.effective_model_threads(), None);
+    let body = source.records(usize::MAX).map_err(StreamError::into_codec)?;
+    modeler.model_chunk(body, &mut streams, &mut None, &pipe)?;
     Ok(streams.fields.into_iter().flat_map(|fs| [fs.codes, fs.values]).collect())
 }
 
@@ -323,8 +401,7 @@ pub fn replay_streams(
     if streams.len() != 2 * n_fields {
         return Err(Error::Corrupt(format!("{} streams for {n_fields} fields", streams.len())));
     }
-    let mut codes: Vec<Vec<u8>> = Vec::with_capacity(n_fields);
-    let mut values: Vec<Vec<u8>> = Vec::with_capacity(n_fields);
+    let (mut codes, mut values): (Vec<Vec<u8>>, Vec<Vec<u8>>) = (Vec::new(), Vec::new());
     for (i, s) in streams.into_iter().enumerate() {
         if i % 2 == 0 {
             codes.push(s);
@@ -333,335 +410,362 @@ pub fn replay_streams(
         }
     }
     let n_records = codes[0].len();
-    let mut replayer = Replayer::new(spec, options);
-    let model_threads = options.effective_model_threads();
     let mut out = Vec::new();
-    let pipe = (model_threads > 1).then(|| Replayer::pipe(model_threads, None));
-    replayer.replay_block(n_records, &mut codes, &mut values, &mut out, pipe.as_ref())?;
+    let pipe = Replayer::pipe(options.effective_model_threads(), None);
+    Replayer::new(spec, options).replay_block(
+        n_records,
+        &mut codes,
+        &mut values,
+        &mut out,
+        &pipe,
+    )?;
     Ok(out)
 }
 
-fn flush_block(
-    out: &mut Vec<u8>,
-    streams: &BlockStreams,
-    codec: &mut dyn PostCodec,
-) -> Result<(), Error> {
-    out.push(BLOCK_MARKER);
-    out.extend_from_slice(&(streams.records as u32).to_le_bytes());
-    for fs in &streams.fields {
-        for payload in [&fs.codes, &fs.values] {
-            let packed = codec.compress(payload).map_err(Error::Post)?;
-            out.extend_from_slice(&(packed.len() as u32).to_le_bytes());
-            out.extend_from_slice(&packed);
+/// Where the decoder reads container bytes from.
+pub(crate) trait ByteSource {
+    /// A compressed segment: borrowed from an in-memory container, owned
+    /// when read from a stream.
+    type Segment: AsRef<[u8]> + Send;
+    /// Fills `buf`, or fails with [`Error::Truncated`].
+    fn read_exact(&mut self, buf: &mut [u8]) -> Result<(), StreamError>;
+    /// Takes the next `len` bytes. Never allocates for more bytes than
+    /// the input can still hold: the length is checked against the
+    /// remaining input when that is known, and the buffer grows only as
+    /// bytes actually arrive when it is not.
+    fn take(&mut self, len: usize) -> Result<Self::Segment, StreamError>;
+    /// Container offset of the next byte.
+    fn pos(&self) -> u64;
+    /// Whether the input is exhausted.
+    fn at_end(&mut self) -> Result<bool, StreamError>;
+}
+
+/// An in-memory container: segments are borrowed, never copied.
+pub(crate) struct SliceSource<'a> {
+    data: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> SliceSource<'a> {
+    pub(crate) fn new(data: &'a [u8]) -> Self {
+        Self { data, pos: 0 }
+    }
+}
+
+impl<'a> ByteSource for SliceSource<'a> {
+    type Segment = &'a [u8];
+
+    fn read_exact(&mut self, buf: &mut [u8]) -> Result<(), StreamError> {
+        buf.copy_from_slice(self.take(buf.len())?);
+        Ok(())
+    }
+
+    fn take(&mut self, len: usize) -> Result<&'a [u8], StreamError> {
+        if len > self.data.len() - self.pos {
+            return Err(Error::Truncated.into());
         }
+        self.pos += len;
+        Ok(&self.data[self.pos - len..self.pos])
     }
-    Ok(())
-}
 
-/// The threaded post-compression pool: each worker consumes a segment
-/// payload and hands it back (cleared, capacity intact) alongside the
-/// packed bytes, so block stream buffers are recycled instead of
-/// reallocated every block.
-pub(crate) type PackPipe =
-    Pipeline<'static, Vec<u8>, (Vec<u8>, Result<Vec<u8>, blockzip::Error>)>;
-
-/// The codec for checkpoint snapshot frames — always the fast
-/// range-coder backend, regardless of the backend packing the block
-/// segments. Snapshots are sparse since format version 2: occupancy
-/// bitmaps skip every never-touched table line, so a frame scales with
-/// the touched working set (kilobytes early in a trace) instead of the
-/// tens of megabytes the paper's TCGEN_A tables span. They exist purely
-/// to speed decoding up, so routing them through the `max` BWT chain
-/// would spend more wall-clock packing state than the checkpoints can
-/// ever win back, on both sides. The choice is part of the checkpointed
-/// container format: every writer and every reader opens snapshot frames
-/// with this codec.
-pub(crate) fn checkpoint_codec(level: blockzip::Level) -> Box<dyn PostCodec> {
-    crate::postcodec::Backend::Fast.codec(level)
-}
-
-/// Appends one checkpoint frame: the marker, the packed snapshot length,
-/// and the packed snapshot bytes.
-fn write_checkpoint_frame(out: &mut Vec<u8>, packed: &[u8]) {
-    out.push(CHECKPOINT_MARKER);
-    out.extend_from_slice(&(packed.len() as u32).to_le_bytes());
-    out.extend_from_slice(packed);
-}
-
-/// Hands one finished block's segments to the worker pool, in the exact
-/// order [`flush_block`] would write them, and resets `streams`. The
-/// outgoing buffers are replaced from `free`, the pool of buffers that
-/// earlier blocks' workers have already handed back. `checkpoint` is the
-/// already-packed snapshot frame that must be written out ahead of this
-/// block's segments, if the block opens a checkpoint interval.
-pub(crate) fn submit_block(
-    pipe: &PackPipe,
-    streams: &mut BlockStreams,
-    pending: &mut VecDeque<(u32, Option<Vec<u8>>)>,
-    free: &mut Vec<Vec<u8>>,
-    checkpoint: Option<Vec<u8>>,
-) {
-    pending.push_back((streams.records as u32, checkpoint));
-    for fs in &mut streams.fields {
-        pipe.submit(std::mem::replace(&mut fs.codes, free.pop().unwrap_or_default()));
-        pipe.submit(std::mem::replace(&mut fs.values, free.pop().unwrap_or_default()));
+    fn pos(&self) -> u64 {
+        self.pos as u64
     }
-    streams.clear();
-}
 
-/// Writes one block frame, consuming `segs_per_block` results from the
-/// pool in submission order — preceded by the block's pre-packed
-/// checkpoint frame when one rides along. The payload buffers ride back
-/// with the packed bytes and are returned to `free` for the next block.
-/// Footer entries are recorded at write time, when the byte offsets are
-/// known.
-pub(crate) fn write_packed_block(
-    out: &mut Vec<u8>,
-    pipe: &PackPipe,
-    n_records: u32,
-    segs_per_block: usize,
-    free: &mut Vec<Vec<u8>>,
-    checkpoint: Option<Vec<u8>>,
-    mut footer: Option<&mut container::Footer>,
-) -> Result<(), Error> {
-    if let Some(packed) = checkpoint {
-        let f = footer.as_deref_mut().expect("checkpoint frames imply a footer");
-        f.push_checkpoint(f.blocks.len() as u32, out.len() as u64);
-        write_checkpoint_frame(out, &packed);
+    fn at_end(&mut self) -> Result<bool, StreamError> {
+        Ok(self.pos == self.data.len())
     }
-    if let Some(f) = footer {
-        f.push_block(out.len() as u64, n_records);
+}
+
+/// One frame header of the block sequence.
+pub(crate) enum Frame {
+    /// The end marker.
+    End,
+    /// A block frame holding this many records.
+    Block(u32),
+    /// A checkpoint frame whose packed snapshot is this long.
+    Checkpoint(usize),
+}
+
+fn read_u32(src: &mut impl ByteSource) -> Result<u32, StreamError> {
+    let mut b = [0u8; 4];
+    src.read_exact(&mut b)?;
+    Ok(u32::from_le_bytes(b))
+}
+
+/// Reads the next frame header: the marker byte and, for block and
+/// checkpoint frames, their `u32`. Checkpoint markers are legal only in
+/// `checkpointed` containers.
+pub(crate) fn read_frame(
+    src: &mut impl ByteSource,
+    checkpointed: bool,
+) -> Result<Frame, StreamError> {
+    let mut marker = [0u8; 1];
+    src.read_exact(&mut marker)?;
+    match marker[0] {
+        END_MARKER => Ok(Frame::End),
+        BLOCK_MARKER => Ok(Frame::Block(read_u32(src)?)),
+        CHECKPOINT_MARKER if checkpointed => Ok(Frame::Checkpoint(read_u32(src)? as usize)),
+        other => Err(Error::Corrupt(format!("unexpected frame marker {other:#x}")).into()),
     }
-    out.push(BLOCK_MARKER);
-    out.extend_from_slice(&n_records.to_le_bytes());
-    for _ in 0..segs_per_block {
-        let (payload, packed) =
-            pipe.next().map_err(|_| Error::Internal("compression worker panicked".into()))?;
-        free.push(payload);
-        let packed = packed.map_err(Error::Post)?;
-        out.extend_from_slice(&(packed.len() as u32).to_le_bytes());
-        out.extend_from_slice(&packed);
-    }
-    Ok(())
 }
 
-/// One block's structure as discovered by the validation pass: the
-/// offset of its marker byte, its record count, and the byte range of
-/// each of its `2 * n_fields` segments.
-struct BlockLayout {
-    offset: usize,
-    n_records: usize,
-    segments: Vec<(usize, usize)>,
+/// Reads one length-prefixed segment without decoding it.
+fn read_segment<S: ByteSource>(src: &mut S) -> Result<S::Segment, StreamError> {
+    let len = read_u32(src)? as usize;
+    src.take(len)
 }
 
-/// One checkpoint frame's structure: the offset of its marker byte, the
-/// byte range of its compressed snapshot, and the index of the block it
-/// precedes.
-struct CheckpointLayout {
-    offset: usize,
-    payload: (usize, usize),
-    block_index: usize,
-}
-
-/// One independently replayable run of blocks, `blocks[first..end]`,
-/// preceded by the compressed snapshot to restore (none for span 0,
-/// which starts from fresh predictor state).
-struct SpanJob {
-    first: usize,
-    end: usize,
-    snapshot: Option<(usize, usize)>,
-}
-
-/// Splits `n_blocks` into spans at the checkpoint boundaries.
-fn span_jobs(n_blocks: usize, checkpoints: &[CheckpointLayout]) -> Vec<SpanJob> {
-    let mut jobs = Vec::with_capacity(checkpoints.len() + 1);
-    let mut first = 0usize;
-    let mut snapshot = None;
-    for c in checkpoints {
-        jobs.push(SpanJob { first, end: c.block_index, snapshot });
-        first = c.block_index;
-        snapshot = Some(c.payload);
-    }
-    jobs.push(SpanJob { first, end: n_blocks, snapshot });
-    jobs
-}
-
-/// Cross-checks the parsed footer against the structure the validation
-/// pass actually walked: every offset, record count, and checkpoint
-/// placement must agree, so a forged footer cannot redirect replay to
-/// bytes the structural pass never validated.
-fn verify_footer(
-    footer: &container::Footer,
-    blocks: &[BlockLayout],
-    checkpoints: &[CheckpointLayout],
-) -> Result<(), Error> {
-    let blocks_match =
-        footer.blocks.len() == blocks.len()
-            && footer.blocks.iter().zip(blocks).all(|(e, b)| {
-                e.offset == b.offset as u64 && e.n_records as usize == b.n_records
-            });
-    let ckpts_match = footer.checkpoints.len() == checkpoints.len()
-        && footer.checkpoints.iter().zip(checkpoints).all(|(e, c)| {
-            e.offset == c.offset as u64 && e.block_index as usize == c.block_index
-        });
-    if !blocks_match || !ckpts_match {
-        return Err(Error::Corrupt(
-            "checkpoint footer: index does not match the container structure".into(),
-        ));
-    }
-    Ok(())
-}
-
-/// Replays one span sequentially from its own predictor state: restore
-/// the opening snapshot (if any), then inflate and replay each block.
-/// Snapshot frames are opened with `ckpt_codec` (the format-fixed fast
-/// codec), block segments with the container backend's `codec`.
-fn replay_one_span(
+/// Reads and checks the prelude, leaving `src` at the passthrough header.
+/// Returns the container's effective options: semantic flags — including
+/// the post-compression backend every segment decode dispatches on —
+/// from the container, speed-only settings from `options`.
+pub(crate) fn read_prelude(
+    src: &mut impl ByteSource,
     spec: &TraceSpec,
     options: &EngineOptions,
-    packed: &[u8],
-    blocks: &[BlockLayout],
-    job: &SpanJob,
-    codec: &mut dyn PostCodec,
-    ckpt_codec: &mut dyn PostCodec,
-) -> Result<Vec<u8>, Error> {
-    let n_fields = spec.fields.len();
-    let mut replayer = Replayer::new(spec, options);
-    if let Some((start, len)) = job.snapshot {
-        let payload = ckpt_codec
-            .decompress(&packed[start..start + len], replayer.snapshot_limit())
-            .map_err(Error::Post)?;
-        replayer.restore_banks(&payload)?;
-    }
-    let mut out = Vec::new();
-    let mut codes: Vec<Vec<u8>> = Vec::with_capacity(n_fields);
-    let mut values: Vec<Vec<u8>> = Vec::with_capacity(n_fields);
-    for block in &blocks[job.first..job.end] {
-        codes.clear();
-        values.clear();
-        for fi in 0..n_fields {
-            let (limit_c, limit_v) = segment_limits(block.n_records, replayer.widths()[fi]);
-            let (start, len) = block.segments[2 * fi];
-            codes.push(codec.decompress(&packed[start..start + len], limit_c)?);
-            let (start, len) = block.segments[2 * fi + 1];
-            values.push(codec.decompress(&packed[start..start + len], limit_v)?);
-        }
-        replayer.replay_block(block.n_records, &mut codes, &mut values, &mut out, None)?;
-    }
-    Ok(out)
-}
-
-/// Decompresses a TCGZ container back into the original trace bytes.
-///
-/// The container structure — every marker, record count, and segment
-/// length — is validated against the input size before any segment is
-/// inflated, and each segment decode is capped at the size its block's
-/// record count admits, so corrupt or adversarial containers fail with an
-/// error instead of triggering outsized allocations. Data after the end
-/// marker is rejected.
-pub fn decompress(
-    spec: &TraceSpec,
-    options: &EngineOptions,
-    packed: &[u8],
-) -> Result<Vec<u8>, Error> {
-    decompress_with_hash(spec, options, spec_hash(spec), packed, None)
-}
-
-/// [`decompress`] with the spec hash already computed and an optional
-/// telemetry recorder (observation-only, like compression's).
-pub(crate) fn decompress_with_hash(
-    spec: &TraceSpec,
-    options: &EngineOptions,
-    expected_hash: u32,
-    packed: &[u8],
-    tel: Option<&Recorder>,
-) -> Result<Vec<u8>, Error> {
-    let _op_span = driver_span(tel, "decompress");
-    let counters = tel.map(OpCounters::decompress);
-    let mut cur = Cursor { data: packed, pos: 0 };
+    hash: u32,
+) -> Result<EngineOptions, StreamError> {
+    let mut bytes = [0u8; PRELUDE_LEN];
     // A wrong magic beats a truncation report even for tiny inputs:
     // "not our container" is the more useful diagnosis.
-    if !packed.starts_with(container::MAGIC) {
-        return Err(Error::BadMagic);
+    src.read_exact(&mut bytes[..4])?;
+    if &bytes[..4] != container::MAGIC {
+        return Err(Error::BadMagic.into());
     }
-    let prelude_bytes: &[u8; PRELUDE_LEN] =
-        cur.take(PRELUDE_LEN)?.try_into().expect("take returns exactly PRELUDE_LEN bytes");
-    let prelude = container::parse_prelude(prelude_bytes)?;
-    if prelude.spec_hash != expected_hash {
-        return Err(Error::SpecMismatch { expected: expected_hash, found: prelude.spec_hash });
+    src.read_exact(&mut bytes[4..])?;
+    let prelude = container::parse_prelude(&bytes)?;
+    if prelude.spec_hash != hash {
+        return Err(Error::SpecMismatch { expected: hash, found: prelude.spec_hash }.into());
     }
-    let header_len = prelude.header_len;
-    if header_len != spec.header_bytes() as usize {
+    if prelude.header_len != spec.header_bytes() as usize {
         return Err(Error::Corrupt(format!(
-            "header length {header_len} does not match the specification"
-        )));
+            "header length {} does not match the specification",
+            prelude.header_len
+        ))
+        .into());
     }
-    // Semantics-affecting options — including the post-compression
-    // backend every segment decode dispatches on — come from the
-    // container; unknown flag bits fail here, before any decoding.
-    let effective = options.with_flags(prelude.flags)?;
-    let header = cur.take(header_len)?;
-    let n_fields = spec.fields.len();
+    Ok(options.with_flags(prelude.flags)?)
+}
 
-    // Structural pass: walk every block (and, when the flag allows them,
-    // checkpoint frame), checking markers and segment lengths against the
-    // remaining input, before inflating anything.
+type UnpackPipe<'env, T> = Pipeline<'env, (T, usize), Result<Vec<u8>, blockzip::Error>>;
+
+/// The decoder's per-block step, shared by [`decompress`] and
+/// [`crate::extract_range`]: read a block frame's segments, inflate them
+/// on the unpack pool, and replay the block.
+pub(crate) struct BlockDecoder<'env, S: ByteSource> {
+    pub(crate) src: S,
+    pub(crate) replayer: Replayer,
+    unpack: UnpackPipe<'env, S::Segment>,
+    replay: ReplayPipe,
+    codes: Vec<Vec<u8>>,
+    values: Vec<Vec<u8>>,
+    tel: Option<&'env Recorder>,
+}
+
+impl<'env, S: ByteSource> BlockDecoder<'env, S>
+where
+    S::Segment: 'env,
+{
+    /// `effective` must carry the container's flags
+    /// ([`EngineOptions::with_flags`]).
+    pub(crate) fn new(
+        spec: &TraceSpec,
+        effective: &EngineOptions,
+        src: S,
+        tel: Option<&'env Recorder>,
+    ) -> Self {
+        let backend = effective.backend;
+        let unpack = Pipeline::start_instrumented(
+            effective.effective_threads(),
+            PoolTelemetry::from(tel, "unpack", backend.unpack_span()),
+            || {
+                let mut codec = probed(backend, effective.level, tel);
+                move |(seg, limit): (S::Segment, usize)| codec.decompress(seg.as_ref(), limit)
+            },
+        );
+        Self {
+            src,
+            replayer: Replayer::new(spec, effective),
+            unpack,
+            replay: Replayer::pipe(effective.effective_model_threads(), tel),
+            codes: Vec::new(),
+            values: Vec::new(),
+            tel,
+        }
+    }
+
+    /// Reads one block's segments and hands them to the unpack pool, each
+    /// decode capped at the size `n_records` admits: codes are one byte
+    /// per record, values at most the field's width per record.
+    pub(crate) fn submit(&mut self, n_records: usize) -> Result<(), StreamError> {
+        let _s = driver_span(self.tel, "io.read");
+        for &width in self.replayer.widths() {
+            self.unpack.submit((read_segment(&mut self.src)?, n_records));
+            self.unpack.submit((read_segment(&mut self.src)?, n_records.saturating_mul(width)));
+        }
+        Ok(())
+    }
+
+    /// Collects the oldest submitted block's segments and replays the
+    /// block onto `out`.
+    pub(crate) fn replay(
+        &mut self,
+        n_records: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<(), StreamError> {
+        let next = || -> Result<Vec<u8>, Error> {
+            let seg = self.unpack.next();
+            seg.map_err(|_| Error::Internal("decompression worker panicked".into()))?
+                .map_err(Error::Post)
+        };
+        self.codes.clear();
+        self.values.clear();
+        for _ in 0..self.replayer.widths().len() {
+            self.codes.push(next()?);
+            self.values.push(next()?);
+        }
+        let _s = driver_span(self.tel, "replay.block");
+        let replay = &self.replay;
+        self.replayer.replay_block(
+            n_records,
+            &mut self.codes,
+            &mut self.values,
+            out,
+            replay,
+        )?;
+        Ok(())
+    }
+}
+
+/// Where the decoder writes records.
+pub(crate) trait Sink {
+    /// The buffer the next block's records are appended to.
+    fn buf(&mut self) -> &mut Vec<u8>;
+    /// Passes on what was appended since the last call.
+    fn flush_block(&mut self) -> Result<(), StreamError>;
+}
+
+/// An in-memory trace: blocks are replayed straight into it.
+impl Sink for Vec<u8> {
+    fn buf(&mut self) -> &mut Vec<u8> {
+        self
+    }
+
+    fn flush_block(&mut self) -> Result<(), StreamError> {
+        Ok(())
+    }
+}
+
+/// The decompress driver: checks the prelude, then reads block frames a
+/// bounded number of blocks ahead of replay — their segments inflating on
+/// the unpack pool — and replays each block in order into `sink`.
+/// Checkpoint frames are skipped with their placement recorded: the
+/// footer must match the structure actually walked, byte for byte
+/// (offsets, record counts, checkpoint placement and CRC included), and
+/// nothing may follow the container.
+pub(crate) fn decompress<S: ByteSource>(
+    spec: &TraceSpec,
+    options: &EngineOptions,
+    hash: u32,
+    mut src: S,
+    sink: &mut impl Sink,
+    tel: Option<&Recorder>,
+) -> Result<(), StreamError> {
+    let _op_span = driver_span(tel, "decompress");
+    let effective = read_prelude(&mut src, spec, options, hash)?;
+    let header_len = spec.header_bytes() as usize;
+    sink.buf().extend_from_slice(src.take(header_len)?.as_ref());
+    sink.flush_block()?;
     let checkpointed = effective.checkpoint_blocks > 0;
-    let mut blocks: Vec<BlockLayout> = Vec::new();
-    let mut checkpoints: Vec<CheckpointLayout> = Vec::new();
+    let in_flight = blocks_in_flight(effective.effective_threads());
+    let mut dec = BlockDecoder::new(spec, &effective, src, tel);
+    let mut walked = container::Footer::default();
+    let mut queued: VecDeque<usize> = VecDeque::new();
+    let (mut end, mut records) = (false, 0usize);
     loop {
-        let marker_at = cur.pos;
-        match cur.take(1)?[0] {
-            END_MARKER => break,
-            BLOCK_MARKER => {}
-            CHECKPOINT_MARKER if checkpointed => {
-                let len = cur.take_u32()? as usize;
-                let start = cur.pos;
-                cur.take(len)?;
-                checkpoints.push(CheckpointLayout {
-                    offset: marker_at,
-                    payload: (start, len),
-                    block_index: blocks.len(),
-                });
-                continue;
+        while !end && queued.len() < in_flight {
+            let at = dec.src.pos();
+            match read_frame(&mut dec.src, checkpointed)? {
+                Frame::Block(n) => {
+                    walked.push_block(at, n);
+                    dec.submit(n as usize)?;
+                    queued.push_back(n as usize);
+                }
+                Frame::Checkpoint(len) => {
+                    walked.push_checkpoint(walked.blocks.len() as u32, at);
+                    dec.src.take(len)?;
+                }
+                Frame::End => {
+                    if checkpointed {
+                        let expected = walked.encode();
+                        if dec.src.take(expected.len())?.as_ref() != expected.as_slice() {
+                            return Err(Error::Corrupt(
+                                "checkpoint footer: index does not match the container \
+                                 structure"
+                                    .into(),
+                            )
+                            .into());
+                        }
+                    }
+                    if !dec.src.at_end()? {
+                        return Err(Error::Corrupt(
+                            "trailing bytes after the end marker".into(),
+                        )
+                        .into());
+                    }
+                    end = true;
+                }
             }
-            other => return Err(Error::Corrupt(format!("unexpected block marker {other:#x}"))),
         }
-        let n_records = cur.take_u32()? as usize;
-        let mut segments = Vec::with_capacity(2 * n_fields);
-        for _ in 0..2 * n_fields {
-            let len = cur.take_u32()? as usize;
-            let start = cur.pos;
-            cur.take(len)?;
-            segments.push((start, len));
+        let Some(n_records) = queued.pop_front() else { break };
+        dec.replay(n_records, sink.buf())?;
+        let _s = driver_span(tel, "io.write");
+        sink.flush_block()?;
+        records += n_records;
+    }
+    if let Some(c) = tel.map(OpCounters::decompress) {
+        c.bytes_in.add(dec.src.pos());
+        c.bytes_out.add((header_len + records * spec.record_bytes() as usize) as u64);
+        c.records.add(records as u64);
+        c.blocks.add(walked.blocks.len() as u64);
+    }
+    Ok(())
+}
+
+/// Decompresses an in-memory container into an output reserved once at
+/// its exact decoded size. The record counts are summed by the decoder's
+/// own frame reader, which checks every segment length against the
+/// remaining input before anything is inflated.
+pub(crate) fn decompress_slice(
+    spec: &TraceSpec,
+    options: &EngineOptions,
+    hash: u32,
+    packed: &[u8],
+    tel: Option<&Recorder>,
+) -> Result<Vec<u8>, StreamError> {
+    let mut src = SliceSource::new(packed);
+    let checkpointed = read_prelude(&mut src, spec, options, hash)?.checkpoint_blocks > 0;
+    let header_len = src.take(spec.header_bytes() as usize)?.len();
+    let mut records = 0usize;
+    loop {
+        match read_frame(&mut src, checkpointed)? {
+            Frame::End => break,
+            Frame::Checkpoint(len) => {
+                src.take(len)?;
+            }
+            Frame::Block(n) => {
+                records = records
+                    .checked_add(n as usize)
+                    .ok_or_else(|| Error::Corrupt("total record count overflows".into()))?;
+                for _ in 0..2 * spec.fields.len() {
+                    read_segment(&mut src)?;
+                }
+            }
         }
-        blocks.push(BlockLayout { offset: marker_at, n_records, segments });
     }
-    if checkpointed {
-        // Everything after the end marker is the footer; it must parse
-        // and agree exactly with the structure walked above.
-        let footer = container::parse_footer(&packed[cur.pos..])?;
-        verify_footer(&footer, &blocks, &checkpoints)?;
-    } else if cur.pos != packed.len() {
-        return Err(Error::Corrupt(format!(
-            "{} trailing bytes after the end marker",
-            packed.len() - cur.pos
-        )));
-    }
-
-    let mut replayer = Replayer::new(spec, &effective);
-
-    // The block layout fixes the decoded size exactly, so the output is
-    // allocated once instead of growing through reallocation stalls.
-    let record_len = spec.record_bytes() as usize;
-    let mut total_records = 0usize;
-    for block in &blocks {
-        total_records = total_records
-            .checked_add(block.n_records)
-            .ok_or_else(|| Error::Corrupt("total record count overflows".into()))?;
-    }
-    let out_len = total_records
-        .checked_mul(record_len)
+    let out_len = records
+        .checked_mul(spec.record_bytes() as usize)
         .and_then(|body| body.checked_add(header_len))
         .ok_or_else(|| Error::Corrupt("decoded trace size overflows".into()))?;
     // Fallible reservation: a forged record count must produce an error,
@@ -670,247 +774,6 @@ pub(crate) fn decompress_with_hash(
     out.try_reserve_exact(out_len).map_err(|_| {
         Error::Corrupt(format!("cannot allocate {out_len} bytes for the decoded trace"))
     })?;
-    out.extend_from_slice(header);
-
-    let threads = options.effective_threads();
-    let model_threads = options.effective_model_threads();
-    let span_workers = threads.max(model_threads).min(checkpoints.len() + 1);
-    let out = (|| -> Result<Vec<u8>, Error> {
-        // Span-parallel replay: each checkpoint opens an independently
-        // replayable span of blocks, so modeling — otherwise the serial
-        // bottleneck — runs concurrently, one ordered job per span.
-        if !checkpoints.is_empty() && span_workers > 1 {
-            let backend = effective.backend;
-            let level = options.level;
-            let eff = &effective;
-            let blocks_ref: &[BlockLayout] = &blocks;
-            let jobs = span_jobs(blocks.len(), &checkpoints);
-            if let Some(rec) = tel {
-                rec.counter("decompress.spans").add(jobs.len() as u64);
-            }
-            let pipe: Pipeline<'_, SpanJob, Result<Vec<u8>, Error>> =
-                Pipeline::start_instrumented(
-                    span_workers,
-                    PoolTelemetry::from(tel, "span", "replay.span"),
-                    || {
-                        let mut codec = backend.codec(level);
-                        let mut ckpt = checkpoint_codec(level);
-                        if let Some(rec) = tel {
-                            codec.attach_probes(rec);
-                            ckpt.attach_probes(rec);
-                        }
-                        move |job: SpanJob| {
-                            replay_one_span(
-                                spec,
-                                eff,
-                                packed,
-                                blocks_ref,
-                                &job,
-                                codec.as_mut(),
-                                ckpt.as_mut(),
-                            )
-                        }
-                    },
-                );
-            let n_spans = jobs.len();
-            for job in jobs {
-                pipe.submit(job);
-            }
-            for _ in 0..n_spans {
-                let span = pipe
-                    .next()
-                    .map_err(|_| Error::Internal("replay worker panicked".into()))??;
-                out.extend_from_slice(&span);
-            }
-            return Ok(out);
-        }
-
-        let replay_pipe = (model_threads > 1).then(|| Replayer::pipe(model_threads, tel));
-        let replay_pipe = replay_pipe.as_ref();
-
-        if threads <= 1 {
-            let mut codec = effective.backend.codec(options.level);
-            if let Some(rec) = tel {
-                codec.attach_probes(rec);
-            }
-            let mut codes: Vec<Vec<u8>> = Vec::with_capacity(n_fields);
-            let mut values: Vec<Vec<u8>> = Vec::with_capacity(n_fields);
-            for block in &blocks {
-                codes.clear();
-                values.clear();
-                for fi in 0..n_fields {
-                    let (limit_c, limit_v) =
-                        segment_limits(block.n_records, replayer.widths()[fi]);
-                    let (start, len) = block.segments[2 * fi];
-                    codes.push({
-                        let _s = driver_span(tel, effective.backend.unpack_span());
-                        codec.decompress(&packed[start..start + len], limit_c)?
-                    });
-                    let (start, len) = block.segments[2 * fi + 1];
-                    values.push({
-                        let _s = driver_span(tel, effective.backend.unpack_span());
-                        codec.decompress(&packed[start..start + len], limit_v)?
-                    });
-                }
-                let _s = driver_span(tel, "replay.block");
-                replayer.replay_block(
-                    block.n_records,
-                    &mut codes,
-                    &mut values,
-                    &mut out,
-                    replay_pipe,
-                )?;
-            }
-            return Ok(out);
-        }
-
-        let backend = effective.backend;
-        let level = options.level;
-        let pipe = Pipeline::start_instrumented(
-            threads,
-            PoolTelemetry::from(tel, "unpack", backend.unpack_span()),
-            || {
-                let mut codec = backend.codec(level);
-                if let Some(rec) = tel {
-                    codec.attach_probes(rec);
-                }
-                move |(seg, limit): (&[u8], usize)| codec.decompress(seg, limit)
-            },
-        );
-        let mut submitted = 0usize;
-        let mut codes: Vec<Vec<u8>> = Vec::with_capacity(n_fields);
-        let mut values: Vec<Vec<u8>> = Vec::with_capacity(n_fields);
-        for bi in 0..blocks.len() {
-            // Keep the workers a bounded number of blocks ahead of replay.
-            let target = blocks.len().min(bi + max_blocks_ahead(threads));
-            while submitted < target {
-                let block = &blocks[submitted];
-                for fi in 0..n_fields {
-                    let (limit_c, limit_v) =
-                        segment_limits(block.n_records, replayer.widths()[fi]);
-                    let (start, len) = block.segments[2 * fi];
-                    pipe.submit((&packed[start..start + len], limit_c));
-                    let (start, len) = block.segments[2 * fi + 1];
-                    pipe.submit((&packed[start..start + len], limit_v));
-                }
-                submitted += 1;
-            }
-            codes.clear();
-            values.clear();
-            for _ in 0..n_fields {
-                codes.push(next_segment(&pipe)?);
-                values.push(next_segment(&pipe)?);
-            }
-            let _s = driver_span(tel, "replay.block");
-            replayer.replay_block(
-                blocks[bi].n_records,
-                &mut codes,
-                &mut values,
-                &mut out,
-                replay_pipe,
-            )?;
-        }
-        Ok(out)
-    })()?;
-    if let Some(c) = &counters {
-        c.bytes_in.add(packed.len() as u64);
-        c.bytes_out.add(out.len() as u64);
-        c.records.add(total_records as u64);
-        c.blocks.add(blocks.len() as u64);
-    }
+    decompress(spec, options, hash, SliceSource::new(packed), &mut out, tel)?;
     Ok(out)
-}
-
-/// The maximum decoded sizes a block of `n_records` records admits: codes
-/// are one byte per record, values at most `width` bytes per record.
-fn segment_limits(n_records: usize, width: usize) -> (usize, usize) {
-    (n_records, n_records.saturating_mul(width))
-}
-
-type SegmentJob<'a> = (&'a [u8], usize);
-type SegmentResult = Result<Vec<u8>, blockzip::Error>;
-
-fn next_segment<'a>(
-    pipe: &Pipeline<'a, SegmentJob<'a>, SegmentResult>,
-) -> Result<Vec<u8>, Error> {
-    pipe.next()
-        .map_err(|_| Error::Internal("decompression worker panicked".into()))?
-        .map_err(Error::Post)
-}
-
-struct Cursor<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], Error> {
-        if n > self.data.len() - self.pos {
-            return Err(Error::Truncated);
-        }
-        let s = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn take_u32(&mut self) -> Result<u32, Error> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn ckpt(block_index: usize) -> CheckpointLayout {
-        CheckpointLayout { offset: 0, payload: (0, 0), block_index }
-    }
-
-    #[test]
-    fn span_jobs_split_at_checkpoint_boundaries() {
-        let jobs = span_jobs(10, &[ckpt(4), ckpt(8)]);
-        let bounds: Vec<(usize, usize, bool)> =
-            jobs.iter().map(|j| (j.first, j.end, j.snapshot.is_some())).collect();
-        assert_eq!(bounds, vec![(0, 4, false), (4, 8, true), (8, 10, true)]);
-        // Single checkpoint, trailing partial span.
-        let jobs = span_jobs(3, &[ckpt(2)]);
-        assert_eq!(jobs.len(), 2);
-        assert_eq!((jobs[1].first, jobs[1].end), (2, 3));
-        assert!(jobs[0].snapshot.is_none() && jobs[1].snapshot.is_some());
-    }
-
-    /// The span replay fan-out genuinely overlaps: six 100 ms span jobs
-    /// on three workers finish in well under the 600 ms a serial replay
-    /// would take. Sleeping (not spinning) keeps this meaningful on
-    /// single-CPU machines, where the decompress throughput target is
-    /// instead demonstrated by this overlap plus the bench numbers.
-    #[test]
-    fn span_pipeline_overlaps_spans() {
-        let start = std::time::Instant::now();
-        {
-            let pipe: Pipeline<'_, SpanJob, usize> =
-                Pipeline::start_instrumented(3, None, || {
-                    move |job: SpanJob| {
-                        std::thread::sleep(std::time::Duration::from_millis(100));
-                        job.end - job.first
-                    }
-                });
-            let jobs = span_jobs(12, &[ckpt(2), ckpt(4), ckpt(6), ckpt(8), ckpt(10)]);
-            let n = jobs.len();
-            for job in jobs {
-                pipe.submit(job);
-            }
-            let mut blocks = 0usize;
-            for _ in 0..n {
-                blocks += pipe.next().expect("span worker lives");
-            }
-            assert_eq!(blocks, 12);
-        }
-        assert!(
-            start.elapsed() < std::time::Duration::from_millis(450),
-            "six 100ms spans on three workers took {:?} — spans are not overlapping",
-            start.elapsed()
-        );
-    }
 }

@@ -107,8 +107,8 @@ pub(crate) type ModelPipe = Pipeline<'static, ModelJob, ModelJob>;
 
 /// The modeling stage: feeds records through the predictor banks and
 /// appends predictor codes and miss values to the current block's
-/// streams. Shared by the in-memory codec, the streaming codec, and
-/// [`crate::codec::raw_streams`] so the three can never drift apart.
+/// streams. Shared by the compress driver and
+/// [`crate::codec::raw_streams`] so the two can never drift apart.
 pub(crate) struct Modeler {
     banks: Vec<Option<FieldBank>>,
     layout: Layout,
@@ -169,13 +169,13 @@ impl Modeler {
 
     /// Models `chunk` (whole records) into `streams`, incrementing its
     /// record count. Internally works [`COLUMN_CHUNK_RECORDS`] records at
-    /// a time; passing `None` for `pipe` runs the field jobs inline.
+    /// a time.
     pub(crate) fn model_chunk(
         &mut self,
         chunk: &[u8],
         streams: &mut BlockStreams,
         usage: &mut Option<&mut UsageReport>,
-        pipe: Option<&ModelPipe>,
+        pipe: &ModelPipe,
     ) -> Result<(), Error> {
         debug_assert!(chunk.len().is_multiple_of(self.layout.record_len));
         for sub in chunk.chunks(self.layout.record_len * COLUMN_CHUNK_RECORDS) {
@@ -190,7 +190,7 @@ impl Modeler {
         sub: &[u8],
         streams: &mut BlockStreams,
         usage: &mut Option<&mut UsageReport>,
-        pipe: Option<&ModelPipe>,
+        pipe: &ModelPipe,
     ) -> Result<(), Error> {
         let n_fields = self.layout.n_fields();
         let n = sub.len() / self.layout.record_len;
@@ -209,8 +209,8 @@ impl Modeler {
         }
         let pc_col = Arc::clone(self.cols[self.layout.pc_index].as_ref().expect("pc column"));
         let starts: Vec<usize> = streams.fields.iter().map(|f| f.codes.len()).collect();
-        let jobs: Vec<ModelJob> = (0..n_fields)
-            .map(|fi| ModelJob {
+        for fi in 0..n_fields {
+            pipe.submit(ModelJob {
                 fi,
                 bank: self.banks[fi].take().expect("bank present"),
                 pcs: Arc::clone(&pc_col),
@@ -219,11 +219,12 @@ impl Modeler {
                 values: std::mem::take(&mut streams.fields[fi].values),
                 miss_buf: std::mem::take(&mut self.miss_bufs[fi]),
                 width: self.layout.widths[fi],
-            })
-            .collect();
+            });
+        }
         // Absorb in field order whether the jobs ran on the pool or
         // inline — identical streams, usage, and errors either way.
-        let mut absorb = |job: ModelJob| {
+        for _ in 0..n_fields {
+            let job = pipe.next().map_err(|_| worker_panicked())?;
             let ModelJob { fi, bank, codes, values, miss_buf, .. } = job;
             self.banks[fi] = Some(bank);
             self.miss_bufs[fi] = miss_buf;
@@ -232,21 +233,6 @@ impl Modeler {
             if let Some(u) = usage.as_deref_mut() {
                 for &c in &streams.fields[fi].codes[starts[fi]..] {
                     u.record(fi, c);
-                }
-            }
-        };
-        match pipe {
-            Some(pipe) => {
-                for job in jobs {
-                    pipe.submit(job);
-                }
-                for _ in 0..n_fields {
-                    absorb(pipe.next().map_err(|_| worker_panicked())?);
-                }
-            }
-            None => {
-                for job in jobs {
-                    absorb(job.run());
                 }
             }
         }
@@ -318,7 +304,7 @@ pub(crate) type ReplayPipe = Pipeline<'static, ReplayJob, ReplayJob>;
 
 /// The replay stage: reconstructs records from decoded code and value
 /// streams, carrying predictor state across blocks. Shared by the
-/// in-memory and streaming decompressors.
+/// decoder's per-block step and [`crate::codec::replay_streams`].
 pub(crate) struct Replayer {
     banks: Vec<Option<FieldBank>>,
     layout: Layout,
@@ -413,7 +399,7 @@ impl Replayer {
         codes: &mut [Vec<u8>],
         values: &mut [Vec<u8>],
         out: &mut Vec<u8>,
-        pipe: Option<&ReplayPipe>,
+        pipe: &ReplayPipe,
     ) -> Result<(), Error> {
         for (fi, c) in codes.iter().enumerate() {
             if c.len() != n_records {
@@ -446,9 +432,9 @@ impl Replayer {
 
         // Fan the remaining fields out; absorb and error-check in field
         // order so the outcome is thread-count independent.
-        let jobs: Vec<ReplayJob> = (0..n_fields)
-            .filter(|&fi| fi != pc)
-            .map(|fi| ReplayJob {
+        let mut submitted = 0;
+        for fi in (0..n_fields).filter(|&fi| fi != pc) {
+            pipe.submit(ReplayJob {
                 fi,
                 bank: self.banks[fi].take().expect("bank present"),
                 pcs: Arc::clone(&pc_col),
@@ -458,32 +444,18 @@ impl Replayer {
                 miss_buf: std::mem::take(&mut self.miss_bufs[fi]),
                 col: std::mem::take(&mut self.cols[fi]),
                 result: Ok(()),
-            })
-            .collect();
+            });
+            submitted += 1;
+        }
         let mut first_err: Result<(), Error> = Ok(());
-        let mut absorb = |job: ReplayJob| {
+        for _ in 0..submitted {
+            let job = pipe.next().map_err(|_| worker_panicked())?;
             let ReplayJob { fi, bank, miss_buf, col, result, .. } = job;
             self.banks[fi] = Some(bank);
             self.miss_bufs[fi] = miss_buf;
             self.cols[fi] = col;
             if first_err.is_ok() {
                 first_err = result;
-            }
-        };
-        match pipe {
-            Some(pipe) => {
-                let submitted = jobs.len();
-                for job in jobs {
-                    pipe.submit(job);
-                }
-                for _ in 0..submitted {
-                    absorb(pipe.next().map_err(|_| worker_panicked())?);
-                }
-            }
-            None => {
-                for job in jobs {
-                    absorb(job.run());
-                }
             }
         }
         drop(pc_col);

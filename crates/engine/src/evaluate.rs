@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use tcgen_predictors::{FieldBank, TableOccupancy};
 use tcgen_spec::FieldSpec;
-use tcgen_telemetry::{driver_span, Recorder};
+use tcgen_telemetry::Recorder;
 
 use crate::options::EngineOptions;
 use crate::pool::{Pipeline, PoolTelemetry};
@@ -100,7 +100,9 @@ fn evaluate(
 /// Every candidate starts from freshly zeroed tables, and results are
 /// collected in candidate order regardless of
 /// [`EngineOptions::model_threads`], so a given `(candidates, sample)`
-/// pair always scores identically.
+/// pair always scores identically. With a recorder, each candidate
+/// evaluation is traced as a `tune.eval` span on the `tune-eval` pool's
+/// worker tracks and counted under `tune.evals`; scores are unaffected.
 ///
 /// # Panics
 ///
@@ -111,39 +113,12 @@ pub fn score_candidates(
     pcs: &Arc<Vec<u64>>,
     values: &Arc<Vec<u64>>,
     options: &EngineOptions,
-) -> Result<Vec<CandidateScore>, Error> {
-    score_candidates_with_telemetry(candidates, pcs, values, options, None)
-}
-
-/// [`score_candidates`] with an optional telemetry recorder: each
-/// candidate evaluation is traced as a `tune.eval` span (on the
-/// `tune-eval` pool's worker tracks when fanned out, on the driver track
-/// otherwise) and counted under `tune.evals`. Scores are unaffected.
-pub fn score_candidates_with_telemetry(
-    candidates: &[FieldSpec],
-    pcs: &Arc<Vec<u64>>,
-    values: &Arc<Vec<u64>>,
-    options: &EngineOptions,
     tel: Option<&Recorder>,
 ) -> Result<Vec<CandidateScore>, Error> {
     if let Some(rec) = tel {
         rec.counter("tune.evals").add(candidates.len() as u64);
     }
-    let jobs: Vec<EvalJob> = candidates
-        .iter()
-        .map(|f| EvalJob { field: f.clone(), pcs: Arc::clone(pcs), values: Arc::clone(values) })
-        .collect();
-    let threads = options.effective_model_threads().min(jobs.len().max(1));
-    if threads <= 1 {
-        let mut codec = options.backend.codec(options.level);
-        return jobs
-            .iter()
-            .map(|j| {
-                let _s = driver_span(tel, "tune.eval");
-                evaluate(j, options, codec.as_mut())
-            })
-            .collect();
-    }
+    let threads = options.effective_model_threads().min(candidates.len().max(1));
     let pipe: Pipeline<'_, EvalJob, Result<CandidateScore, Error>> =
         Pipeline::start_instrumented(
             threads,
@@ -153,17 +128,19 @@ pub fn score_candidates_with_telemetry(
                 move |job: EvalJob| evaluate(&job, options, codec.as_mut())
             },
         );
-    let n = jobs.len();
-    for job in jobs {
-        pipe.submit(job);
+    for f in candidates {
+        pipe.submit(EvalJob {
+            field: f.clone(),
+            pcs: Arc::clone(pcs),
+            values: Arc::clone(values),
+        });
     }
-    let mut scores = Vec::with_capacity(n);
-    for _ in 0..n {
-        scores.push(
-            pipe.next().map_err(|_| Error::Internal("evaluation worker panicked".into()))??,
-        );
-    }
-    Ok(scores)
+    candidates
+        .iter()
+        .map(|_| {
+            pipe.next().map_err(|_| Error::Internal("evaluation worker panicked".into()))?
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -192,8 +169,8 @@ mod tests {
         let (pcs, values) = sample();
         let one = EngineOptions { model_threads: 1, ..EngineOptions::tcgen() };
         let four = EngineOptions { model_threads: 4, ..EngineOptions::tcgen() };
-        let a = score_candidates(&candidates(), &pcs, &values, &one).unwrap();
-        let b = score_candidates(&candidates(), &pcs, &values, &four).unwrap();
+        let a = score_candidates(&candidates(), &pcs, &values, &one, None).unwrap();
+        let b = score_candidates(&candidates(), &pcs, &values, &four, None).unwrap();
         assert_eq!(a, b);
     }
 
@@ -201,7 +178,7 @@ mod tests {
     fn stride_data_favors_the_stride_capable_candidate() {
         let (pcs, values) = sample();
         let options = EngineOptions::tcgen();
-        let scores = score_candidates(&candidates(), &pcs, &values, &options).unwrap();
+        let scores = score_candidates(&candidates(), &pcs, &values, &options, None).unwrap();
         // A pure stride is DFCM territory: the LV-only candidate misses
         // nearly always and must pay for every value.
         assert!(scores[2].packed_bytes < scores[1].packed_bytes, "{scores:?}");
@@ -219,7 +196,8 @@ mod tests {
         let pcs = Arc::new(Vec::new());
         let values = Arc::new(Vec::new());
         let scores =
-            score_candidates(&candidates(), &pcs, &values, &EngineOptions::tcgen()).unwrap();
+            score_candidates(&candidates(), &pcs, &values, &EngineOptions::tcgen(), None)
+                .unwrap();
         assert_eq!(scores.len(), 3);
         assert_eq!(scores[0].counts.iter().sum::<u64>() + scores[0].misses, 0);
     }

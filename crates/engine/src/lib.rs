@@ -39,15 +39,12 @@ pub mod stream_io;
 pub mod streams;
 pub mod usage;
 
-pub use evaluate::{score_candidates, score_candidates_with_telemetry, CandidateScore};
+pub use evaluate::{score_candidates, CandidateScore};
 pub use options::EngineOptions;
 pub use pool::with_job_priority;
 pub use postcodec::{Backend, PostCodec};
 pub use seek::{extract_range, inspect, ContainerInfo, SpanInfo, SEEK_BYTES_READ};
-pub use stream_io::{
-    compress_stream, compress_stream_with_telemetry, decompress_stream,
-    decompress_stream_with_telemetry, StreamError,
-};
+pub use stream_io::{compress_stream, decompress_stream, StreamError};
 pub use tcgen_predictors::{OccTable, TableOccupancy};
 /// The telemetry subsystem, re-exported so engine users need not depend
 /// on `tcgen-telemetry` directly.
@@ -56,6 +53,8 @@ pub use tcgen_telemetry::Recorder;
 pub use usage::{FieldUsage, UsageReport};
 
 use tcgen_spec::TraceSpec;
+
+use crate::codec::SliceRecords;
 
 /// Errors produced by the engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -183,14 +182,7 @@ impl Engine {
     /// Returns [`Error::PartialRecord`] if `raw` is not a whole number of
     /// records after the header.
     pub fn compress(&self, raw: &[u8]) -> Result<Vec<u8>, Error> {
-        codec::compress_with_hash(
-            &self.spec,
-            &self.options,
-            self.spec_hash,
-            raw,
-            None,
-            self.telemetry.as_ref(),
-        )
+        self.compress_into(raw, None)
     }
 
     /// Compresses a raw trace and reports predictor usage (the feedback
@@ -201,15 +193,29 @@ impl Engine {
     /// As for [`Engine::compress`].
     pub fn compress_with_usage(&self, raw: &[u8]) -> Result<(Vec<u8>, UsageReport), Error> {
         let mut report = UsageReport::new(&self.spec);
-        let packed = codec::compress_with_hash(
+        let packed = self.compress_into(raw, Some(&mut report))?;
+        Ok((packed, report))
+    }
+
+    /// Runs the compress driver over `raw`, borrowed in place, into a
+    /// container buffer sized for a typical compression ratio.
+    fn compress_into(
+        &self,
+        raw: &[u8],
+        usage: Option<&mut UsageReport>,
+    ) -> Result<Vec<u8>, Error> {
+        let mut out = Vec::with_capacity(raw.len() / 8 + 64);
+        codec::compress(
             &self.spec,
             &self.options,
             self.spec_hash,
-            raw,
-            Some(&mut report),
+            &mut SliceRecords::new(raw, &self.spec),
+            &mut out,
+            usage,
             self.telemetry.as_ref(),
-        )?;
-        Ok((packed, report))
+        )
+        .map_err(StreamError::into_codec)?;
+        Ok(out)
     }
 
     /// Decompresses a TCGZ container produced for the same specification.
@@ -219,13 +225,9 @@ impl Engine {
     /// Returns [`Error::SpecMismatch`] for containers of other formats
     /// and [`Error::Corrupt`]/[`Error::Truncated`] on damage.
     pub fn decompress(&self, packed: &[u8]) -> Result<Vec<u8>, Error> {
-        codec::decompress_with_hash(
-            &self.spec,
-            &self.options,
-            self.spec_hash,
-            packed,
-            self.telemetry.as_ref(),
-        )
+        let tel = self.telemetry.as_ref();
+        codec::decompress_slice(&self.spec, &self.options, self.spec_hash, packed, tel)
+            .map_err(StreamError::into_codec)
     }
 }
 

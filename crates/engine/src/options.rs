@@ -19,9 +19,11 @@ pub struct EngineOptions {
     /// means the whole trace forms a single block.
     pub block_records: usize,
     /// Worker threads for post-compressing and decoding block segments.
-    /// `0` means one thread per available CPU, `1` selects the serial
-    /// path. The compressed container is byte-identical for every thread
-    /// count, so this is a speed-only option and not part of the flags.
+    /// `0` means one thread per available CPU; `1` runs the segment jobs
+    /// inline on the calling thread, through the same driver as every
+    /// other count. The compressed container is byte-identical for every
+    /// thread count, so this is a speed-only option and not part of the
+    /// flags.
     pub threads: usize,
     /// Worker threads for the columnar modeling/replay stage: per-field
     /// column jobs are fanned out to this many workers. `0` means one

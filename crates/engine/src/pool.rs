@@ -30,13 +30,15 @@
 //!   and blocks until in-flight ones finish.
 //!
 //! * [`Pipeline`] — the ordered fan-out/fan-in adapter the codec uses,
-//!   now a thin veneer over a `SharedPool` job. Its API is unchanged
-//!   except that no [`std::thread::scope`] is needed: jobs and worker
-//!   closures may still borrow from the caller's stack (the `'env`
-//!   lifetime), because dropping the pipeline drains its job before the
-//!   borrow ends. A panicking job poisons *its own* pipeline — the
-//!   consumer receives [`WorkerPanicked`] — while the shared workers and
-//!   every other job keep running.
+//!   a thin veneer over a `SharedPool` job. No [`std::thread::scope`] is
+//!   needed: jobs and worker closures may borrow from the caller's stack
+//!   (the `'env` lifetime), because dropping the pipeline drains its job
+//!   before the borrow ends. A panicking job poisons *its own* pipeline —
+//!   the consumer receives [`WorkerPanicked`] — while the shared workers
+//!   and every other job keep running. A pipeline of parallelism 1
+//!   registers no pool job at all: it runs each task inline on the
+//!   submitting thread, so the codec drivers have one code path for
+//!   every thread count.
 //!
 //! Per-worker mutable state (e.g. a [`blockzip`] scratch) lives in a pool
 //! of `max_parallel` slots: a task checks a slot out for its duration, so
@@ -49,7 +51,7 @@
 //! (`mem::forget`) would break that contract, so the type is crate-private
 //! and no call site leaks one.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -361,6 +363,24 @@ struct Slot<W> {
     tel: Option<SlotTelemetry>,
 }
 
+impl<W> Slot<W> {
+    /// Runs one task under the panic net. The span covers only the task,
+    /// not any queue wait, so a track's busy time is a faithful
+    /// per-worker CPU-time proxy.
+    fn run<I, O>(&mut self, input: I) -> std::thread::Result<O>
+    where
+        W: FnMut(I) -> O,
+    {
+        let start = self.tel.as_ref().map(|_| Instant::now());
+        let result = catch_unwind(AssertUnwindSafe(|| (self.worker)(input)));
+        if let (Some(t), Some(start)) = (&self.tel, start) {
+            t.rec.record_span(t.track, t.span, start);
+            t.stats.on_complete();
+        }
+        result
+    }
+}
+
 struct CoreState<O> {
     done: BTreeMap<u64, O>,
     next_out: u64,
@@ -380,11 +400,29 @@ struct Core<O> {
 /// borrow; the pipeline cannot outlive it, and its drop glue drains the
 /// underlying pool job first.
 pub(crate) struct Pipeline<'env, I, O> {
+    mode: Mode<'env, I, O>,
+    stats: Option<Arc<PoolStats>>,
+}
+
+enum Mode<'env, I, O> {
+    /// Parallelism 1: each task runs on the submitting thread inside
+    /// [`Pipeline::submit`], and its result waits for [`Pipeline::next`].
+    Inline(RefCell<Inline<'env, I, O>>),
+    /// Tasks run on the shared pool's workers.
+    Pooled(Pooled<'env, I, O>),
+}
+
+struct Inline<'env, I, O> {
+    slot: Slot<Box<dyn FnMut(I) -> O + 'env>>,
+    done: VecDeque<O>,
+    poisoned: bool,
+}
+
+struct Pooled<'env, I, O> {
     /// Dropped first: closes the job, abandons unstarted tasks, and
     /// joins in-flight ones before any borrowed data can die.
     job: JobHandle,
     core: Arc<Core<O>>,
-    stats: Option<Arc<PoolStats>>,
     next_in: Cell<u64>,
     #[allow(clippy::type_complexity)]
     make_task: Box<dyn Fn(u64, I) -> Box<dyn FnOnce() + Send + 'env> + 'env>,
@@ -421,19 +459,24 @@ impl<'env, I: Send + 'env, O: Send + 'env> Pipeline<'env, I, O> {
     {
         let threads = threads.max(1);
         let stats = tel.as_ref().map(|t| t.rec.pool(t.label, threads));
-        let mut slot_stack = Vec::with_capacity(threads);
-        for i in 0..threads {
-            let slot_tel = tel.as_ref().zip(stats.as_ref()).map(|(t, stats)| SlotTelemetry {
+        let slot = |i: usize| Slot {
+            worker: make_worker(),
+            tel: tel.as_ref().zip(stats.as_ref()).map(|(t, stats)| SlotTelemetry {
                 rec: t.rec.clone(),
                 track: t.rec.track(format!("{}-{i}", t.label)),
                 span: t.span,
                 stats: Arc::clone(stats),
-            });
-            slot_stack.push(Slot { worker: make_worker(), tel: slot_tel });
+            }),
+        };
+        if threads == 1 {
+            let Slot { worker, tel } = slot(0);
+            let slot = Slot { worker: Box::new(worker) as Box<dyn FnMut(I) -> O + 'env>, tel };
+            let inline = Inline { slot, done: VecDeque::new(), poisoned: false };
+            return Self { mode: Mode::Inline(RefCell::new(inline)), stats };
         }
         // Slots are checked out in LIFO order, so track indices name
         // slots, not OS threads — the set of names is stable either way.
-        let slots = Arc::new(Mutex::new(slot_stack));
+        let slots = Arc::new(Mutex::new((0..threads).map(slot).collect::<Vec<_>>()));
         let core = Arc::new(Core {
             state: Mutex::new(CoreState {
                 done: BTreeMap::new(),
@@ -446,7 +489,7 @@ impl<'env, I: Send + 'env, O: Send + 'env> Pipeline<'env, I, O> {
             priority: current_priority(),
             max_parallel: threads,
             // Call sites bound how far submission runs ahead of
-            // consumption themselves, exactly as before.
+            // consumption themselves.
             capacity: usize::MAX,
         });
         let make_task = {
@@ -463,39 +506,69 @@ impl<'env, I: Send + 'env, O: Send + 'env> Pipeline<'env, I, O> {
                 })
             })
         };
-        Self { job, core, stats, next_in: Cell::new(0), make_task, _env: PhantomData }
+        let pooled = Pooled { job, core, next_in: Cell::new(0), make_task, _env: PhantomData };
+        Self { mode: Mode::Pooled(pooled), stats }
     }
 
-    /// Enqueues a job. The adapter's queue is unbounded; the caller is
-    /// responsible for bounding how far submission runs ahead of
-    /// consumption.
+    /// Enqueues a job (or, inline, runs it). The adapter's queue is
+    /// unbounded; the caller is responsible for bounding how far
+    /// submission runs ahead of consumption.
     pub fn submit(&self, input: I) {
-        if let Some(stats) = &self.stats {
-            // Depth of the backlog this job joins, before it is queued.
-            stats.on_submit(self.job.pending());
+        match &self.mode {
+            Mode::Inline(inline) => {
+                if let Some(stats) = &self.stats {
+                    stats.on_submit(0);
+                }
+                let inline = &mut *inline.borrow_mut();
+                if inline.poisoned {
+                    return;
+                }
+                match inline.slot.run(input) {
+                    Ok(out) => inline.done.push_back(out),
+                    Err(_) => inline.poisoned = true,
+                }
+            }
+            Mode::Pooled(p) => {
+                if let Some(stats) = &self.stats {
+                    // Depth of the backlog this job joins, before it is queued.
+                    stats.on_submit(p.job.pending());
+                }
+                let seq = p.next_in.get();
+                p.next_in.set(seq + 1);
+                let task = (p.make_task)(seq, input);
+                // SAFETY: the task borrows at most `'env` data. `p.job` is
+                // dropped before `'env` ends (the pipeline is bound by
+                // `'env` and is never leaked), and its drop drains this
+                // task — run to completion or dropped on the submitting
+                // thread — first.
+                let task: Task = unsafe {
+                    std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Task>(task)
+                };
+                p.job.submit(task);
+            }
         }
-        let seq = self.next_in.get();
-        self.next_in.set(seq + 1);
-        let task = (self.make_task)(seq, input);
-        // SAFETY: the task borrows at most `'env` data. `self.job` is
-        // dropped before `'env` ends (the pipeline is bound by `'env`
-        // and is never leaked), and its drop drains this task — run to
-        // completion or dropped on the submitting thread — first.
-        let task: Task =
-            unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Task>(task) };
-        self.job.submit(task);
     }
 
     /// Blocks until the result of the oldest unconsumed submission is
     /// ready and returns it. Calling this more times than [`submit`] was
-    /// called deadlocks — the codec always consumes exactly one result
-    /// per submission.
+    /// called deadlocks (pooled) or panics (inline) — the codec always
+    /// consumes exactly one result per submission.
     ///
     /// # Errors
     ///
     /// [`WorkerPanicked`] if any job panicked.
     pub fn next(&self) -> Result<O, WorkerPanicked> {
-        let mut st = self.core.state.lock().unwrap();
+        let p = match &self.mode {
+            Mode::Inline(inline) => {
+                let mut inline = inline.borrow_mut();
+                if inline.poisoned {
+                    return Err(WorkerPanicked);
+                }
+                return Ok(inline.done.pop_front().expect("one result per submission"));
+            }
+            Mode::Pooled(p) => p,
+        };
+        let mut st = p.core.state.lock().unwrap();
         loop {
             if st.poisoned {
                 return Err(WorkerPanicked);
@@ -505,7 +578,7 @@ impl<'env, I: Send + 'env, O: Send + 'env> Pipeline<'env, I, O> {
                 st.next_out += 1;
                 return Ok(out);
             }
-            st = self.core.done_ready.wait(st).unwrap();
+            st = p.core.done_ready.wait(st).unwrap();
         }
     }
 }
@@ -528,18 +601,7 @@ fn run_one<I, O, W: FnMut(I) -> O>(
         .unwrap()
         .pop()
         .expect("pool caps this job's concurrency at the slot count");
-    // The span covers only the job, not the queue wait, so a track's
-    // busy time is a faithful per-worker CPU-time proxy.
-    let result = match &slot.tel {
-        Some(t) => {
-            let start = Instant::now();
-            let result = catch_unwind(AssertUnwindSafe(|| (slot.worker)(input)));
-            t.rec.record_span(t.track, t.span, start);
-            t.stats.on_complete();
-            result
-        }
-        None => catch_unwind(AssertUnwindSafe(|| (slot.worker)(input))),
-    };
+    let result = slot.run(input);
     slots.lock().unwrap().push(slot);
     let mut st = core.state.lock().unwrap();
     match result {
@@ -735,6 +797,34 @@ mod tests {
     }
 
     #[test]
+    fn parallelism_one_runs_inline_on_the_caller() {
+        let caller = std::thread::current().id();
+        let pipe = Pipeline::start(1, || {
+            move |n: u32| {
+                assert_eq!(std::thread::current().id(), caller, "task left the caller");
+                n * 3
+            }
+        });
+        for n in 0..10u32 {
+            pipe.submit(n);
+        }
+        for n in 0..10u32 {
+            assert_eq!(pipe.next().unwrap(), n * 3);
+        }
+        // A panicking inline task poisons its pipeline like a pooled one.
+        let bad = Pipeline::start(1, || {
+            |n: u32| {
+                assert!(n != 2, "boom");
+                n
+            }
+        });
+        for n in 0..4u32 {
+            bad.submit(n);
+        }
+        assert_eq!(bad.next(), Err(WorkerPanicked));
+    }
+
+    #[test]
     fn dropping_with_unconsumed_work_does_not_hang() {
         let pipe = Pipeline::start(2, || |n: u32| n);
         for n in 0..1000u32 {
@@ -746,33 +836,29 @@ mod tests {
 
     #[test]
     fn priority_orders_queued_tasks_across_jobs() {
-        // A private 1-worker pool makes scheduling fully deterministic:
-        // block the worker, queue a low- and a high-priority task, then
-        // release — the high-priority task must run first.
-        let pool = SharedPool::new();
-        let gate = pool.job(JobConfig { priority: 0, max_parallel: 1, capacity: 4 });
-        let low = pool.job(JobConfig { priority: 1, max_parallel: 1, capacity: 4 });
-        let high = pool.job(JobConfig { priority: 9, max_parallel: 1, capacity: 4 });
-        let (release_tx, release_rx) = mpsc::channel::<()>();
-        let (started_tx, started_rx) = mpsc::channel::<()>();
-        let (done_tx, done_rx) = mpsc::channel::<&'static str>();
-        gate.submit(Box::new(move || {
-            started_tx.send(()).unwrap();
-            release_rx.recv().unwrap();
-        }));
-        started_rx.recv().unwrap();
-        for (job, tag) in [(&low, "low"), (&high, "high")] {
-            let done_tx = done_tx.clone();
-            job.submit(Box::new(move || {
-                done_tx.send(tag).unwrap();
-            }));
-        }
-        release_tx.send(()).unwrap();
-        let order = [done_rx.recv().unwrap(), done_rx.recv().unwrap()];
-        drop(gate);
-        drop(low);
-        drop(high);
-        assert_eq!(order, ["high", "low"]);
+        // The pick every worker makes, without threads: a pool spawns one
+        // worker per unit of registered parallelism, so with real workers
+        // a low-priority task can start on an idle worker before its
+        // high-priority peer is even queued. With both queued, the
+        // high-priority job's task is taken first.
+        let job = |id, priority| Job {
+            id,
+            priority,
+            max_parallel: 1,
+            capacity: 4,
+            queue: VecDeque::from([Box::new(|| {}) as Task]),
+            inflight: 0,
+        };
+        let mut st = PoolState {
+            jobs: vec![job(0, 1), job(1, 9)],
+            next_job: 2,
+            workers: 1,
+            shutdown: false,
+            rr: 0,
+        };
+        let order = [take_task(&mut st).map(|t| t.0), take_task(&mut st).map(|t| t.0)];
+        assert_eq!(order, [Some(1), Some(0)], "high priority first, then low");
+        assert!(take_task(&mut st).is_none(), "nothing left to pick");
     }
 
     #[test]

@@ -7,17 +7,18 @@
 //! tail, footer body) and, for [`extract_range`], additionally the
 //! covering checkpoint segment and block frames — never the whole file.
 
-use std::io::{Read, Seek, SeekFrom};
+use std::io::{Read, Seek};
 
 use tcgen_spec::TraceSpec;
 use tcgen_telemetry::Recorder;
 
-use crate::codec::spec_hash;
-use crate::columnar::Replayer;
-use crate::container::{self, BLOCK_MARKER, CHECKPOINT_MARKER, FOOTER_TAIL_LEN, PRELUDE_LEN};
+use crate::codec::{
+    checkpoint_codec, read_frame, read_prelude, spec_hash, BlockDecoder, ByteSource, Frame,
+};
+use crate::container::{self, FOOTER_TAIL_LEN, PRELUDE_LEN};
 use crate::options::EngineOptions;
 use crate::postcodec::Backend;
-use crate::stream_io::StreamError;
+use crate::stream_io::{ReaderSource, StreamError};
 use crate::Error;
 
 /// Telemetry counter fed with every byte [`extract_range`] reads from
@@ -78,10 +79,9 @@ pub struct ContainerInfo {
 /// [`StreamError::Codec`] on a malformed prelude or footer, and I/O
 /// errors from the reader.
 pub fn inspect(reader: &mut (impl Read + Seek)) -> Result<ContainerInfo, StreamError> {
-    let file_len = reader.seek(SeekFrom::End(0))?;
-    reader.seek(SeekFrom::Start(0))?;
+    let mut src = ReaderSource::open(reader, None)?;
     let mut prelude_bytes = [0u8; PRELUDE_LEN];
-    reader.read_exact(&mut prelude_bytes).map_err(short_read)?;
+    src.read_exact(&mut prelude_bytes)?;
     let prelude = container::parse_prelude(&prelude_bytes)?;
     let checkpointed = prelude.flags & EngineOptions::FLAG_CHECKPOINTS != 0;
     let mut info = ContainerInfo {
@@ -91,7 +91,7 @@ pub fn inspect(reader: &mut (impl Read + Seek)) -> Result<ContainerInfo, StreamE
         header_len: prelude.header_len,
         backend: Backend::from_id((prelude.flags >> 3) & 0b11),
         checkpointed,
-        file_len,
+        file_len: src.end(),
         n_blocks: None,
         total_records: None,
         spans: Vec::new(),
@@ -99,7 +99,7 @@ pub fn inspect(reader: &mut (impl Read + Seek)) -> Result<ContainerInfo, StreamE
     if !checkpointed {
         return Ok(info);
     }
-    let footer = read_footer(reader, file_len, &None)?;
+    let footer = read_footer(&mut src)?;
     info.n_blocks = Some(footer.blocks.len());
     info.total_records = Some(footer.total_records());
     info.spans = spans_of(&footer);
@@ -110,7 +110,9 @@ pub fn inspect(reader: &mut (impl Read + Seek)) -> Result<ContainerInfo, StreamE
 /// excluded) from a checkpointed container, reading only the prelude,
 /// the footer, and the frames of the covering span: the latest
 /// checkpoint at or before the range start is restored and replay runs
-/// from there, never from record zero.
+/// from there, never from record zero. Each block goes through the
+/// sequential decoder's own per-block step, so the same length checks
+/// and decode caps apply.
 ///
 /// Returns the raw record bytes, without the passthrough header. Every
 /// byte read from `reader` is counted into the [`SEEK_BYTES_READ`]
@@ -130,23 +132,8 @@ pub fn extract_range(
     range: std::ops::Range<u64>,
     tel: Option<&Recorder>,
 ) -> Result<Vec<u8>, StreamError> {
-    let counter = tel.map(|rec| rec.counter(SEEK_BYTES_READ));
-    let file_len = reader.seek(SeekFrom::End(0))?;
-    reader.seek(SeekFrom::Start(0))?;
-    let mut prelude_bytes = [0u8; PRELUDE_LEN];
-    reader.read_exact(&mut prelude_bytes).map_err(short_read)?;
-    if let Some(c) = &counter {
-        c.add(PRELUDE_LEN as u64);
-    }
-    let prelude = container::parse_prelude(&prelude_bytes)?;
-    let expected = spec_hash(spec);
-    if prelude.spec_hash != expected {
-        return Err(Error::SpecMismatch { expected, found: prelude.spec_hash }.into());
-    }
-    if prelude.header_len != spec.header_bytes() as usize {
-        return Err(Error::Corrupt("header length mismatch".into()).into());
-    }
-    let effective = options.with_flags(prelude.flags)?;
+    let mut src = ReaderSource::open(reader, tel.map(|rec| rec.counter(SEEK_BYTES_READ)))?;
+    let effective = read_prelude(&mut src, spec, options, spec_hash(spec))?;
     if effective.checkpoint_blocks == 0 {
         return Err(Error::Corrupt(
             "container has no checkpoint footer; use a sequential decompress".into(),
@@ -154,7 +141,7 @@ pub fn extract_range(
         .into());
     }
 
-    let footer = read_footer(reader, file_len, &counter)?;
+    let footer = read_footer(&mut src)?;
     let total = footer.total_records();
     if range.start > range.end || range.end > total {
         return Err(Error::Corrupt(format!(
@@ -182,64 +169,45 @@ pub fn extract_range(
         footer.checkpoints.iter().rev().find(|c| starts[c.block_index as usize] <= range.start);
     let first_block = opening.map_or(0, |c| c.block_index as usize);
 
-    let n_fields = spec.fields.len();
-    let mut codec = effective.backend.codec(options.level);
-    if let Some(rec) = tel {
-        codec.attach_probes(rec);
-    }
-    let mut replayer = Replayer::new(spec, &effective);
+    let mut dec = BlockDecoder::new(spec, &effective, src, tel);
     if let Some(ckpt) = opening {
-        let payload = read_frame(reader, file_len, ckpt.offset, CHECKPOINT_MARKER, &counter)?;
-        // Snapshot frames always use the format-fixed checkpoint codec,
-        // not the container backend packing the block segments.
-        let mut ckpt_codec = crate::codec::checkpoint_codec(options.level);
-        if let Some(rec) = tel {
-            ckpt_codec.attach_probes(rec);
-        }
-        let snapshot =
-            ckpt_codec.decompress(&payload, replayer.snapshot_limit()).map_err(Error::Post)?;
-        replayer.restore_banks(&snapshot)?;
+        dec.src.seek(ckpt.offset)?;
+        let Frame::Checkpoint(len) = read_frame(&mut dec.src, true)? else {
+            return Err(Error::Corrupt(format!(
+                "expected a checkpoint frame at offset {}",
+                ckpt.offset
+            ))
+            .into());
+        };
+        let packed = dec.src.take(len)?;
+        let snapshot = checkpoint_codec(options.level, tel)
+            .decompress(&packed, dec.replayer.snapshot_limit())
+            .map_err(Error::Post)?;
+        dec.replayer.restore_banks(&snapshot)?;
     }
 
     let mut out = Vec::new();
-    let mut codes: Vec<Vec<u8>> = Vec::with_capacity(n_fields);
-    let mut values: Vec<Vec<u8>> = Vec::with_capacity(n_fields);
-    let record_len = spec.record_bytes() as usize;
     for (bi, block) in footer.blocks.iter().enumerate().skip(first_block) {
         if starts[bi] >= range.end {
             break;
         }
-        let n_records = block.n_records as usize;
-        let (marker_at, mut pos) = (block.offset, block.offset);
-        seek_to(reader, marker_at, file_len)?;
-        let mut head = [0u8; 5];
-        read_counted(reader, &mut head, &mut pos, file_len, &counter)?;
-        if head[0] != BLOCK_MARKER {
-            return Err(Error::Corrupt(format!(
-                "expected a block frame at offset {marker_at}"
-            ))
-            .into());
+        dec.src.seek(block.offset)?;
+        match read_frame(&mut dec.src, true)? {
+            Frame::Block(n) if n == block.n_records => {}
+            _ => {
+                return Err(Error::Corrupt(format!(
+                    "expected a block frame of {} records at offset {}",
+                    block.n_records, block.offset
+                ))
+                .into())
+            }
         }
-        if u32::from_le_bytes([head[1], head[2], head[3], head[4]]) != block.n_records {
-            return Err(
-                Error::Corrupt("block record count does not match the footer".into()).into()
-            );
-        }
-        codes.clear();
-        values.clear();
-        for fi in 0..n_fields {
-            let width = replayer.widths()[fi];
-            let seg = read_segment(reader, &mut pos, file_len, &counter)?;
-            codes.push(codec.decompress(&seg, n_records).map_err(Error::Post)?);
-            let seg = read_segment(reader, &mut pos, file_len, &counter)?;
-            values.push(
-                codec.decompress(&seg, n_records.saturating_mul(width)).map_err(Error::Post)?,
-            );
-        }
-        replayer.replay_block(n_records, &mut codes, &mut values, &mut out, None)?;
+        dec.submit(block.n_records as usize)?;
+        dec.replay(block.n_records as usize, &mut out)?;
     }
 
     // `out` holds records from starts[first_block]; slice the request.
+    let record_len = spec.record_bytes() as usize;
     let skip = (range.start - starts[first_block]) as usize * record_len;
     let want = (range.end - range.start) as usize * record_len;
     if skip + want > out.len() {
@@ -286,109 +254,23 @@ fn spans_of(footer: &container::Footer) -> Vec<SpanInfo> {
 }
 
 /// Locates and parses the footer from the fixed 12-byte file tail.
-fn read_footer(
-    reader: &mut (impl Read + Seek),
-    file_len: u64,
-    counter: &Option<tcgen_telemetry::Counter>,
+fn read_footer<R: Read + Seek>(
+    src: &mut ReaderSource<'_, R>,
 ) -> Result<container::Footer, StreamError> {
-    let tail_len = FOOTER_TAIL_LEN as u64;
+    let (file_len, tail_len) = (src.end(), FOOTER_TAIL_LEN as u64);
     if file_len < PRELUDE_LEN as u64 + tail_len {
         return Err(Error::Truncated.into());
     }
-    reader.seek(SeekFrom::Start(file_len - tail_len))?;
+    src.seek(file_len - tail_len)?;
     let mut tail = [0u8; FOOTER_TAIL_LEN];
-    reader.read_exact(&mut tail).map_err(short_read)?;
-    let body_len = u64::from(u32::from_le_bytes([tail[4], tail[5], tail[6], tail[7]]));
-    let footer_len = body_len + tail_len;
+    src.read_exact(&mut tail)?;
+    let footer_len =
+        u64::from(u32::from_le_bytes([tail[4], tail[5], tail[6], tail[7]])) + tail_len;
     if footer_len > file_len - PRELUDE_LEN as u64 {
         return Err(
             Error::Corrupt("checkpoint footer: length field exceeds the file".into()).into()
         );
     }
-    reader.seek(SeekFrom::Start(file_len - footer_len))?;
-    let mut bytes = vec![0u8; footer_len as usize];
-    reader.read_exact(&mut bytes).map_err(short_read)?;
-    if let Some(c) = counter {
-        c.add(tail_len + footer_len);
-    }
-    Ok(container::parse_footer(&bytes)?)
-}
-
-/// Reads a length-prefixed frame (`marker u32 len payload`) at `offset`.
-fn read_frame(
-    reader: &mut (impl Read + Seek),
-    file_len: u64,
-    offset: u64,
-    marker: u8,
-    counter: &Option<tcgen_telemetry::Counter>,
-) -> Result<Vec<u8>, StreamError> {
-    seek_to(reader, offset, file_len)?;
-    let mut pos = offset;
-    let mut head = [0u8; 5];
-    read_counted(reader, &mut head, &mut pos, file_len, counter)?;
-    if head[0] != marker {
-        return Err(Error::Corrupt(format!(
-            "expected frame marker {marker:#x} at offset {offset}, found {:#x}",
-            head[0]
-        ))
-        .into());
-    }
-    let len = u32::from_le_bytes([head[1], head[2], head[3], head[4]]) as usize;
-    let mut payload = vec![0u8; len];
-    read_counted(reader, &mut payload, &mut pos, file_len, counter)?;
-    Ok(payload)
-}
-
-/// Reads one length-prefixed compressed segment at the current position.
-fn read_segment(
-    reader: &mut impl Read,
-    pos: &mut u64,
-    file_len: u64,
-    counter: &Option<tcgen_telemetry::Counter>,
-) -> Result<Vec<u8>, StreamError> {
-    let mut len4 = [0u8; 4];
-    read_counted(reader, &mut len4, pos, file_len, counter)?;
-    let len = u32::from_le_bytes(len4) as usize;
-    let mut seg = vec![0u8; len];
-    read_counted(reader, &mut seg, pos, file_len, counter)?;
-    Ok(seg)
-}
-
-/// `read_exact` that advances `pos`, rejects reads past `file_len`
-/// before allocating or touching the reader, and feeds the I/O counter.
-fn read_counted(
-    reader: &mut impl Read,
-    buf: &mut [u8],
-    pos: &mut u64,
-    file_len: u64,
-    counter: &Option<tcgen_telemetry::Counter>,
-) -> Result<(), StreamError> {
-    let len = buf.len() as u64;
-    if *pos + len > file_len {
-        return Err(Error::Truncated.into());
-    }
-    reader.read_exact(buf).map_err(short_read)?;
-    *pos += len;
-    if let Some(c) = counter {
-        c.add(len);
-    }
-    Ok(())
-}
-
-fn seek_to(reader: &mut impl Seek, offset: u64, file_len: u64) -> Result<(), StreamError> {
-    if offset >= file_len {
-        return Err(Error::Truncated.into());
-    }
-    reader.seek(SeekFrom::Start(offset))?;
-    Ok(())
-}
-
-/// Maps an unexpected-EOF from `read_exact` to the container-truncation
-/// error, leaving genuine I/O failures as such.
-fn short_read(e: std::io::Error) -> StreamError {
-    if e.kind() == std::io::ErrorKind::UnexpectedEof {
-        Error::Truncated.into()
-    } else {
-        StreamError::Io(e)
-    }
+    src.seek(file_len - footer_len)?;
+    Ok(container::parse_footer(&src.take(footer_len as usize)?)?)
 }

@@ -3,24 +3,20 @@
 //! gigabyte traces never need to fit in memory — the way the paper's
 //! generated tools stream from standard input to standard output.
 //!
-//! The streaming paths share the columnar modeling/replay stages
-//! ([`crate::columnar`]) and the worker pools with the in-memory codec,
-//! so streamed output is byte-identical to [`crate::Engine::compress`]
-//! for the same options at any thread or model-thread count.
+//! Streaming runs the same drivers as the in-memory [`crate::Engine`]
+//! ([`crate::codec`]), with a reader as the record or byte source and a
+//! writer as the sink, so streamed output is byte-identical to
+//! [`crate::Engine::compress`] for the same options at any thread or
+//! model-thread count.
 
-use std::collections::VecDeque;
-use std::io::{Read, Write};
+use std::io::{Read, Seek, SeekFrom, Write};
 
 use tcgen_spec::TraceSpec;
-use tcgen_telemetry::{driver_span, OpCounters, Recorder};
+use tcgen_telemetry::Counter;
 
-use crate::codec::spec_hash;
-use crate::columnar::{Modeler, Replayer};
-use crate::container::{self, BLOCK_MARKER, CHECKPOINT_MARKER, END_MARKER, PRELUDE_LEN};
+use crate::codec::{self, spec_hash, ByteSource, RecordSource, Sink, MAX_BLOCK_RECORDS};
+use crate::columnar::COLUMN_CHUNK_RECORDS;
 use crate::options::EngineOptions;
-use crate::pool::{Pipeline, PoolTelemetry};
-use crate::postcodec::PostCodec;
-use crate::streams::BlockStreams;
 use crate::Error;
 
 /// An I/O failure or a codec failure during streaming.
@@ -30,6 +26,17 @@ pub enum StreamError {
     Io(std::io::Error),
     /// The trace or container was malformed.
     Codec(Error),
+}
+
+impl StreamError {
+    /// The codec error inside: in-memory sources and sinks cannot fail
+    /// at I/O, so anything else is an engine bug.
+    pub(crate) fn into_codec(self) -> Error {
+        match self {
+            StreamError::Codec(e) => e,
+            StreamError::Io(e) => Error::Internal(format!("in-memory i/o: {e}")),
+        }
+    }
 }
 
 impl std::fmt::Display for StreamError {
@@ -74,49 +81,19 @@ fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> std::io::Result<usize
     Ok(filled)
 }
 
-/// How many blocks the streaming pipelines run ahead of the serial stage;
-/// mirrors the in-memory codec's bound.
-fn max_blocks_ahead(threads: usize) -> usize {
-    2 * threads
-}
-
-/// Tallies bytes flowing to the inner writer; feeds the `*.bytes_out`
-/// counter after the run. One integer add per `write` call — noise next
-/// to the write itself, telemetry attached or not.
-struct CountingWriter<'a, W: Write> {
-    inner: &'a mut W,
-    written: u64,
-}
-
-impl<W: Write> Write for CountingWriter<'_, W> {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        let n = self.inner.write(buf)?;
-        self.written += n as u64;
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.inner.flush()
-    }
-}
-
-/// The read-side mirror of [`CountingWriter`].
-struct CountingReader<'a, R: Read> {
-    inner: &'a mut R,
-    read: u64,
-}
-
-impl<R: Read> Read for CountingReader<'_, R> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.read += n as u64;
-        Ok(n)
+/// Maps an unexpected-EOF from `read_exact` to the container-truncation
+/// error, leaving genuine I/O failures as such.
+fn short_read(e: std::io::Error) -> StreamError {
+    if e.kind() == std::io::ErrorKind::UnexpectedEof {
+        Error::Truncated.into()
+    } else {
+        StreamError::Io(e)
     }
 }
 
 /// Compresses a trace from `input` to `output`, holding at most a
-/// bounded number of blocks in memory. Block records are clamped to
-/// `1..=2^24` so a whole-trace setting still streams.
+/// bounded number of blocks in memory. Blocks hold at most 2^24 records,
+/// so a whole-trace setting still streams.
 ///
 /// # Errors
 ///
@@ -128,337 +105,49 @@ pub fn compress_stream(
     input: &mut impl Read,
     output: &mut impl Write,
 ) -> Result<(), StreamError> {
-    compress_stream_with_telemetry(spec, options, input, output, None)
-}
-
-/// [`compress_stream`] with an optional telemetry recorder: reads and
-/// block flushes are traced as `io.read`/`model.chunk`/`block.flush`
-/// spans and the `compress.*` counters are fed. Output bytes are
-/// identical with and without a recorder.
-pub fn compress_stream_with_telemetry(
-    spec: &TraceSpec,
-    options: &EngineOptions,
-    input: &mut impl Read,
-    output: &mut impl Write,
-    tel: Option<&Recorder>,
-) -> Result<(), StreamError> {
-    let _op_span = driver_span(tel, "compress");
-    let counters = tel.map(OpCounters::compress);
-    let header_len = spec.header_bytes() as usize;
     let record_len = spec.record_bytes() as usize;
-    let mut output = CountingWriter { inner: output, written: 0 };
-    let output = &mut output;
-
-    let mut header = vec![0u8; header_len];
-    let got = read_exact_or_eof(input, &mut header)?;
-    if got != header_len {
-        return Err(Error::PartialRecord { len: got, header_len, record_len }.into());
-    }
-    if let Some(c) = &counters {
-        c.bytes_in.add(got as u64);
-    }
-
-    // Container prelude, byte-identical to the in-memory codec's by
-    // construction: both writers emit [`container::prelude`].
-    output.write_all(&container::prelude(
-        options.flags(),
-        spec_hash(spec),
-        header_len as u16,
-    ))?;
-    output.write_all(&header)?;
-
-    let mut modeler = Modeler::new(spec, options);
-    let block_records = options.effective_block_records().clamp(1, 1 << 24);
-    let threads = options.effective_threads();
-    let model_threads = options.effective_model_threads();
-    let mut chunk = vec![0u8; record_len * block_records.min(65_536)];
-    let mut streams = BlockStreams::new(spec.fields.len());
-
-    (|| -> Result<(), StreamError> {
-        let model_pipe = (model_threads > 1).then(|| Modeler::pipe(model_threads, tel));
-        let model_pipe = model_pipe.as_ref();
-        // With checkpointing on, the block index is accumulated as frames
-        // stream out and appended after the end marker — offsets come
-        // from the counting writer, so they match the in-memory codec's.
-        // Snapshot payloads get their own (fast, format-fixed) codec.
-        let mut footer = (options.checkpoint_blocks > 0).then(container::Footer::default);
-        let mut ckpt_codec = footer.is_some().then(|| {
-            let mut c = crate::codec::checkpoint_codec(options.level);
-            if let Some(rec) = tel {
-                c.attach_probes(rec);
-            }
-            c
-        });
-
-        if threads <= 1 {
-            let mut codec = options.backend.codec(options.level);
-            if let Some(rec) = tel {
-                codec.attach_probes(rec);
-            }
-            loop {
-                let got = {
-                    let _s = driver_span(tel, "io.read");
-                    read_exact_or_eof(input, &mut chunk)?
-                };
-                if got % record_len != 0 {
-                    return Err(
-                        Error::PartialRecord { len: got, header_len, record_len }.into()
-                    );
-                }
-                if let Some(c) = &counters {
-                    c.bytes_in.add(got as u64);
-                    c.records.add((got / record_len) as u64);
-                }
-                let n_chunk = got / record_len;
-                let mut idx = 0usize;
-                while idx < n_chunk {
-                    // A record is about to open a fresh block: if that
-                    // block starts a checkpoint interval, snapshot the
-                    // predictor state (which reflects every prior block)
-                    // and emit the checkpoint frame first.
-                    if streams.records == 0 {
-                        if let Some(f) = footer.as_mut() {
-                            let b = f.blocks.len();
-                            if b > 0 && b.is_multiple_of(options.checkpoint_blocks) {
-                                let _s = driver_span(tel, "checkpoint.pack");
-                                let ck = ckpt_codec
-                                    .as_mut()
-                                    .expect("footer implies a checkpoint codec");
-                                let packed = ck
-                                    .compress(&modeler.snapshot_payload())
-                                    .map_err(Error::Post)?;
-                                write_checkpoint(output, &packed, f)?;
-                            }
-                        }
-                    }
-                    // Model up to the block boundary, never past it.
-                    let take = (block_records - streams.records).min(n_chunk - idx);
-                    let span = &chunk[idx * record_len..(idx + take) * record_len];
-                    {
-                        let _s = driver_span(tel, "model.chunk");
-                        modeler.model_chunk(span, &mut streams, &mut None, model_pipe)?;
-                    }
-                    if streams.records == block_records {
-                        let _s = driver_span(tel, "block.flush");
-                        write_block(output, &streams, codec.as_mut(), footer.as_mut())?;
-                        streams.clear();
-                        if let Some(c) = &counters {
-                            c.blocks.add(1);
-                        }
-                    }
-                    idx += take;
-                }
-                if got < chunk.len() {
-                    break;
-                }
-            }
-            if !streams.is_empty() {
-                let _s = driver_span(tel, "block.flush");
-                write_block(output, &streams, codec.as_mut(), footer.as_mut())?;
-                if let Some(c) = &counters {
-                    c.blocks.add(1);
-                }
-            }
-            output.write_all(&[END_MARKER])?;
-            if let Some(f) = &footer {
-                output.write_all(&f.encode())?;
-            }
-            output.flush()?;
-            return Ok(());
-        }
-
-        let backend = options.backend;
-        let level = options.level;
-        let pipe = Pipeline::start_instrumented(
-            threads,
-            PoolTelemetry::from(tel, "pack", backend.pack_span()),
-            || {
-                let mut codec = backend.codec(level);
-                if let Some(rec) = tel {
-                    codec.attach_probes(rec);
-                }
-                move |mut payload: Vec<u8>| {
-                    let packed = codec.compress(&payload);
-                    payload.clear();
-                    (payload, packed)
-                }
-            },
-        );
-        let segs_per_block = 2 * spec.fields.len();
-        let mut pending: VecDeque<(u32, Option<Vec<u8>>)> = VecDeque::new();
-        let mut free: Vec<Vec<u8>> = Vec::new();
-        // Blocks whose segments have been submitted to the pool, and the
-        // pre-packed checkpoint frame the next submitted block carries
-        // when it opens a checkpoint interval (snapshots are packed on
-        // the driver with the fixed checkpoint codec, not pooled).
-        let mut submitted_blocks = 0usize;
-        let mut next_ckpt: Option<Vec<u8>> = None;
-        loop {
-            let got = {
-                let _s = driver_span(tel, "io.read");
-                read_exact_or_eof(input, &mut chunk)?
-            };
-            if got % record_len != 0 {
-                return Err(Error::PartialRecord { len: got, header_len, record_len }.into());
-            }
-            if let Some(c) = &counters {
-                c.bytes_in.add(got as u64);
-                c.records.add((got / record_len) as u64);
-            }
-            let n_chunk = got / record_len;
-            let mut idx = 0usize;
-            while idx < n_chunk {
-                if streams.records == 0
-                    && footer.is_some()
-                    && submitted_blocks > 0
-                    && submitted_blocks.is_multiple_of(options.checkpoint_blocks)
-                    && next_ckpt.is_none()
-                {
-                    // Snapshot before this block's first record is
-                    // modeled, exactly as the serial path does.
-                    let _s = driver_span(tel, "checkpoint.pack");
-                    let ck = ckpt_codec.as_mut().expect("footer implies a checkpoint codec");
-                    next_ckpt =
-                        Some(ck.compress(&modeler.snapshot_payload()).map_err(Error::Post)?);
-                }
-                let take = (block_records - streams.records).min(n_chunk - idx);
-                let span = &chunk[idx * record_len..(idx + take) * record_len];
-                {
-                    let _s = driver_span(tel, "model.chunk");
-                    modeler.model_chunk(span, &mut streams, &mut None, model_pipe)?;
-                }
-                if streams.records == block_records {
-                    crate::codec::submit_block(
-                        &pipe,
-                        &mut streams,
-                        &mut pending,
-                        &mut free,
-                        next_ckpt.take(),
-                    );
-                    submitted_blocks += 1;
-                    if pending.len() > max_blocks_ahead(threads) {
-                        let (n, ckpt) = pending.pop_front().expect("pending is non-empty");
-                        let _s = driver_span(tel, "block.flush");
-                        write_packed_block(
-                            output,
-                            &pipe,
-                            n,
-                            segs_per_block,
-                            &mut free,
-                            ckpt,
-                            footer.as_mut(),
-                        )?;
-                        if let Some(c) = &counters {
-                            c.blocks.add(1);
-                        }
-                    }
-                }
-                idx += take;
-            }
-            if got < chunk.len() {
-                break;
-            }
-        }
-        if !streams.is_empty() {
-            crate::codec::submit_block(
-                &pipe,
-                &mut streams,
-                &mut pending,
-                &mut free,
-                next_ckpt.take(),
-            );
-        }
-        while let Some((n, ckpt)) = pending.pop_front() {
-            let _s = driver_span(tel, "block.flush");
-            write_packed_block(
-                output,
-                &pipe,
-                n,
-                segs_per_block,
-                &mut free,
-                ckpt,
-                footer.as_mut(),
-            )?;
-            if let Some(c) = &counters {
-                c.blocks.add(1);
-            }
-        }
-        output.write_all(&[END_MARKER])?;
-        if let Some(f) = &footer {
-            output.write_all(&f.encode())?;
-        }
-        output.flush()?;
-        Ok(())
-    })()?;
-    if let Some(c) = &counters {
-        c.bytes_out.add(output.written);
-    }
-    Ok(())
+    let chunk_records = options.effective_block_records().min(MAX_BLOCK_RECORDS);
+    let mut source = ReaderRecords {
+        input,
+        header: vec![0u8; spec.header_bytes() as usize],
+        chunk: vec![0u8; record_len * chunk_records.min(COLUMN_CHUNK_RECORDS)],
+        record_len,
+    };
+    codec::compress(spec, options, spec_hash(spec), &mut source, output, None, None)
 }
 
-/// Writes one checkpoint frame and records its footer entry at the
-/// current output offset.
-fn write_checkpoint<W: Write>(
-    output: &mut CountingWriter<'_, W>,
-    packed: &[u8],
-    footer: &mut container::Footer,
-) -> Result<(), StreamError> {
-    footer.push_checkpoint(footer.blocks.len() as u32, output.written);
-    output.write_all(&[CHECKPOINT_MARKER])?;
-    output.write_all(&(packed.len() as u32).to_le_bytes())?;
-    output.write_all(packed)?;
-    Ok(())
+/// A trace read from a stream, one modeling chunk at a time.
+struct ReaderRecords<'r, R> {
+    input: &'r mut R,
+    header: Vec<u8>,
+    chunk: Vec<u8>,
+    record_len: usize,
 }
 
-fn write_block<W: Write>(
-    output: &mut CountingWriter<'_, W>,
-    streams: &BlockStreams,
-    codec: &mut dyn PostCodec,
-    footer: Option<&mut container::Footer>,
-) -> Result<(), StreamError> {
-    if let Some(f) = footer {
-        f.push_block(output.written, streams.records as u32);
+impl<R> ReaderRecords<'_, R> {
+    fn partial(&self, len: usize) -> StreamError {
+        Error::PartialRecord { len, header_len: self.header.len(), record_len: self.record_len }
+            .into()
     }
-    output.write_all(&[BLOCK_MARKER])?;
-    output.write_all(&(streams.records as u32).to_le_bytes())?;
-    for fs in &streams.fields {
-        for payload in [&fs.codes, &fs.values] {
-            let packed = codec.compress(payload).map_err(Error::Post)?;
-            output.write_all(&(packed.len() as u32).to_le_bytes())?;
-            output.write_all(&packed)?;
+}
+
+impl<R: Read> RecordSource for ReaderRecords<'_, R> {
+    fn header(&mut self) -> Result<&[u8], StreamError> {
+        let got = read_exact_or_eof(self.input, &mut self.header)?;
+        if got != self.header.len() {
+            return Err(self.partial(got));
         }
+        Ok(&self.header)
     }
-    Ok(())
-}
 
-#[allow(clippy::too_many_arguments)]
-fn write_packed_block<W: Write>(
-    output: &mut CountingWriter<'_, W>,
-    pipe: &crate::codec::PackPipe,
-    n_records: u32,
-    segs_per_block: usize,
-    free: &mut Vec<Vec<u8>>,
-    checkpoint: Option<Vec<u8>>,
-    mut footer: Option<&mut container::Footer>,
-) -> Result<(), StreamError> {
-    if let Some(packed) = checkpoint {
-        let f = footer.as_deref_mut().expect("checkpoint frames imply a footer");
-        write_checkpoint(output, &packed, f)?;
+    fn records(&mut self, max: usize) -> Result<&[u8], StreamError> {
+        let want = max.min(self.chunk.len() / self.record_len) * self.record_len;
+        let got = read_exact_or_eof(self.input, &mut self.chunk[..want])?;
+        if got % self.record_len != 0 {
+            return Err(self.partial(got));
+        }
+        Ok(&self.chunk[..got])
     }
-    if let Some(f) = footer {
-        f.push_block(output.written, n_records);
-    }
-    output.write_all(&[BLOCK_MARKER])?;
-    output.write_all(&n_records.to_le_bytes())?;
-    for _ in 0..segs_per_block {
-        let (payload, packed) =
-            pipe.next().map_err(|_| Error::Internal("compression worker panicked".into()))?;
-        free.push(payload);
-        let packed = packed.map_err(Error::Post)?;
-        output.write_all(&(packed.len() as u32).to_le_bytes())?;
-        output.write_all(&packed)?;
-    }
-    Ok(())
 }
 
 /// Decompresses a container from `input` to `output`, holding at most a
@@ -477,293 +166,127 @@ pub fn decompress_stream(
     input: &mut impl Read,
     output: &mut impl Write,
 ) -> Result<(), StreamError> {
-    decompress_stream_with_telemetry(spec, options, input, output, None)
-}
-
-/// [`decompress_stream`] with an optional telemetry recorder: segment
-/// reads, decodes, replays, and writes are traced as spans and the
-/// `decompress.*` counters are fed. Output bytes are identical with and
-/// without a recorder.
-pub fn decompress_stream_with_telemetry(
-    spec: &TraceSpec,
-    options: &EngineOptions,
-    input: &mut impl Read,
-    output: &mut impl Write,
-    tel: Option<&Recorder>,
-) -> Result<(), StreamError> {
-    let _op_span = driver_span(tel, "decompress");
-    let counters = tel.map(OpCounters::decompress);
-    let mut input = CountingReader { inner: input, read: 0 };
-    let input = &mut input;
-    let mut output = CountingWriter { inner: output, written: 0 };
-    let output = &mut output;
-
-    let mut prelude = [0u8; PRELUDE_LEN];
-    read_all(input, &mut prelude)?;
-    let prelude = container::parse_prelude(&prelude)?;
-    let expected = spec_hash(spec);
-    if prelude.spec_hash != expected {
-        return Err(Error::SpecMismatch { expected, found: prelude.spec_hash }.into());
-    }
-    let header_len = prelude.header_len;
-    if header_len != spec.header_bytes() as usize {
-        return Err(Error::Corrupt("header length mismatch".into()).into());
-    }
-    let mut header = vec![0u8; header_len];
-    read_all(input, &mut header)?;
-    output.write_all(&header)?;
-
-    let effective = options.with_flags(prelude.flags)?;
-    let mut replayer = Replayer::new(spec, &effective);
-    let n_fields = spec.fields.len();
-    let threads = options.effective_threads();
-    let model_threads = options.effective_model_threads();
-    let mut out_buf: Vec<u8> = Vec::new();
-    // Checkpointed containers: frames are skipped (sequential replay
-    // needs no snapshots), but the structure actually streamed is
-    // tracked so the trailing footer can be verified byte-for-byte.
-    let checkpointed = effective.checkpoint_blocks > 0;
-    let mut walked = container::Footer::default();
-
-    (|| -> Result<(), StreamError> {
-        let replay_pipe = (model_threads > 1).then(|| Replayer::pipe(model_threads, tel));
-        let replay_pipe = replay_pipe.as_ref();
-
-        if threads <= 1 {
-            let mut codec = effective.backend.codec(options.level);
-            if let Some(rec) = tel {
-                codec.attach_probes(rec);
-            }
-            let mut codes: Vec<Vec<u8>> = Vec::with_capacity(n_fields);
-            let mut values: Vec<Vec<u8>> = Vec::with_capacity(n_fields);
-            loop {
-                let Some(n_records) = read_block_header(input, checkpointed, &mut walked)?
-                else {
-                    expect_footer_then_eof(input, checkpointed, &walked)?;
-                    output.flush()?;
-                    return Ok(());
-                };
-                codes.clear();
-                values.clear();
-                for fi in 0..n_fields {
-                    let width = replayer.widths()[fi];
-                    let seg = {
-                        let _s = driver_span(tel, "io.read");
-                        read_segment(input)?
-                    };
-                    codes.push({
-                        let _s = driver_span(tel, effective.backend.unpack_span());
-                        codec.decompress(&seg, n_records).map_err(Error::Post)?
-                    });
-                    let seg = {
-                        let _s = driver_span(tel, "io.read");
-                        read_segment(input)?
-                    };
-                    values.push({
-                        let _s = driver_span(tel, effective.backend.unpack_span());
-                        codec
-                            .decompress(&seg, n_records.saturating_mul(width))
-                            .map_err(Error::Post)?
-                    });
-                }
-                out_buf.clear();
-                {
-                    let _s = driver_span(tel, "replay.block");
-                    replayer.replay_block(
-                        n_records,
-                        &mut codes,
-                        &mut values,
-                        &mut out_buf,
-                        replay_pipe,
-                    )?;
-                }
-                {
-                    let _s = driver_span(tel, "io.write");
-                    output.write_all(&out_buf)?;
-                }
-                if let Some(c) = &counters {
-                    c.records.add(n_records as u64);
-                    c.blocks.add(1);
-                }
-            }
-        }
-
-        let backend = effective.backend;
-        let level = options.level;
-        let pipe = Pipeline::start_instrumented(
-            threads,
-            PoolTelemetry::from(tel, "unpack", backend.unpack_span()),
-            || {
-                let mut codec = backend.codec(level);
-                if let Some(rec) = tel {
-                    codec.attach_probes(rec);
-                }
-                move |(seg, limit): (Vec<u8>, usize)| codec.decompress(&seg, limit)
-            },
-        );
-        let mut block_queue: VecDeque<usize> = VecDeque::new();
-        let mut end_seen = false;
-        let mut codes: Vec<Vec<u8>> = Vec::with_capacity(n_fields);
-        let mut values: Vec<Vec<u8>> = Vec::with_capacity(n_fields);
-        loop {
-            // Read ahead a bounded number of blocks, handing their raw
-            // segments to the workers.
-            while !end_seen && block_queue.len() < max_blocks_ahead(threads) {
-                let Some(n_records) = read_block_header(input, checkpointed, &mut walked)?
-                else {
-                    expect_footer_then_eof(input, checkpointed, &walked)?;
-                    end_seen = true;
-                    break;
-                };
-                let _s = driver_span(tel, "io.read");
-                for fi in 0..n_fields {
-                    let width = replayer.widths()[fi];
-                    pipe.submit((read_segment(input)?, n_records));
-                    pipe.submit((read_segment(input)?, n_records.saturating_mul(width)));
-                }
-                block_queue.push_back(n_records);
-            }
-            let Some(n_records) = block_queue.pop_front() else {
-                output.flush()?;
-                return Ok(());
-            };
-            codes.clear();
-            values.clear();
-            for _ in 0..n_fields {
-                codes.push(next_segment(&pipe)?);
-                values.push(next_segment(&pipe)?);
-            }
-            out_buf.clear();
-            {
-                let _s = driver_span(tel, "replay.block");
-                replayer.replay_block(
-                    n_records,
-                    &mut codes,
-                    &mut values,
-                    &mut out_buf,
-                    replay_pipe,
-                )?;
-            }
-            {
-                let _s = driver_span(tel, "io.write");
-                output.write_all(&out_buf)?;
-            }
-            if let Some(c) = &counters {
-                c.records.add(n_records as u64);
-                c.blocks.add(1);
-            }
-        }
-    })()?;
-    if let Some(c) = &counters {
-        c.bytes_in.add(input.read);
-        c.bytes_out.add(output.written);
-    }
+    let mut sink = WriteSink { output, buf: Vec::new() };
+    let src = ReaderSource::new(input, None, None);
+    codec::decompress(spec, options, spec_hash(spec), src, &mut sink, None)?;
+    sink.output.flush()?;
     Ok(())
 }
 
-/// Reads a block marker; returns the record count, or `None` at the end
-/// marker. With `checkpointed` set, checkpoint frames are skipped — the
-/// sequential replayer carries its state through them — while their
-/// placement is recorded in `walked` for footer verification.
-fn read_block_header<R: Read>(
-    input: &mut CountingReader<'_, R>,
-    checkpointed: bool,
-    walked: &mut container::Footer,
-) -> Result<Option<usize>, StreamError> {
-    loop {
-        let at = input.read;
-        let mut marker = [0u8; 1];
-        read_all(input, &mut marker)?;
-        match marker[0] {
-            END_MARKER => return Ok(None),
-            BLOCK_MARKER => {
-                let mut len4 = [0u8; 4];
-                read_all(input, &mut len4)?;
-                let n_records = u32::from_le_bytes(len4);
-                walked.push_block(at, n_records);
-                return Ok(Some(n_records as usize));
+/// Writes each replayed block on to a writer.
+struct WriteSink<'w, W> {
+    output: &'w mut W,
+    buf: Vec<u8>,
+}
+
+impl<W: Write> Sink for WriteSink<'_, W> {
+    fn buf(&mut self) -> &mut Vec<u8> {
+        &mut self.buf
+    }
+
+    fn flush_block(&mut self) -> Result<(), StreamError> {
+        self.output.write_all(&self.buf)?;
+        self.buf.clear();
+        Ok(())
+    }
+}
+
+/// A segment buffer's initial capacity when the container length is
+/// unknown; the rest grows only as segment bytes actually arrive.
+const SEGMENT_PREALLOC: usize = 1 << 16;
+
+/// A container read from a stream. With `end` known (a seekable file),
+/// every read is checked against it before anything is allocated; every
+/// byte read is counted into `counter` when one is given.
+pub(crate) struct ReaderSource<'r, R> {
+    inner: &'r mut R,
+    pos: u64,
+    end: Option<u64>,
+    counter: Option<Counter>,
+}
+
+impl<'r, R: Read> ReaderSource<'r, R> {
+    pub(crate) fn new(inner: &'r mut R, end: Option<u64>, counter: Option<Counter>) -> Self {
+        Self { inner, pos: 0, end, counter }
+    }
+
+    fn check(&self, len: usize) -> Result<(), StreamError> {
+        match self.end {
+            Some(end) if len as u64 > end.saturating_sub(self.pos) => {
+                Err(Error::Truncated.into())
             }
-            CHECKPOINT_MARKER if checkpointed => {
-                let mut len4 = [0u8; 4];
-                read_all(input, &mut len4)?;
-                walked.push_checkpoint(walked.blocks.len() as u32, at);
-                skip_bytes(input, u32::from_le_bytes(len4) as usize)?;
-            }
-            other => return Err(Error::Corrupt(format!("bad marker {other:#x}")).into()),
+            _ => Ok(()),
+        }
+    }
+
+    fn advance(&mut self, len: usize) {
+        self.pos += len as u64;
+        if let Some(c) = &self.counter {
+            c.add(len as u64);
         }
     }
 }
 
-/// Discards `n` bytes from the reader, failing on truncation.
-fn skip_bytes(r: &mut impl Read, mut n: usize) -> Result<(), StreamError> {
-    let mut buf = [0u8; 4096];
-    while n > 0 {
-        let take = n.min(buf.len());
-        read_all(r, &mut buf[..take])?;
-        n -= take;
+impl<'r, R: Read + Seek> ReaderSource<'r, R> {
+    /// A seekable container, whose length bounds every read.
+    pub(crate) fn open(
+        inner: &'r mut R,
+        counter: Option<Counter>,
+    ) -> Result<Self, StreamError> {
+        let end = inner.seek(SeekFrom::End(0))?;
+        inner.seek(SeekFrom::Start(0))?;
+        Ok(Self::new(inner, Some(end), counter))
     }
-    Ok(())
-}
 
-/// After the end marker: a checkpointed container must close with a
-/// footer that matches the structure actually streamed, byte for byte
-/// (offsets, record counts, checkpoint placement, and CRC all included);
-/// a legacy container must end immediately.
-fn expect_footer_then_eof(
-    input: &mut impl Read,
-    checkpointed: bool,
-    walked: &container::Footer,
-) -> Result<(), StreamError> {
-    if checkpointed {
-        let expected = walked.encode();
-        let mut got = vec![0u8; expected.len()];
-        read_all(input, &mut got)?;
-        if got != expected {
-            return Err(Error::Corrupt(
-                "checkpoint footer: index does not match the container structure".into(),
-            )
-            .into());
+    /// The container length.
+    pub(crate) fn end(&self) -> u64 {
+        self.end.expect("seekable sources know their length")
+    }
+
+    /// Moves to container offset `offset`, which must lie inside the
+    /// container.
+    pub(crate) fn seek(&mut self, offset: u64) -> Result<(), StreamError> {
+        if offset >= self.end() {
+            return Err(Error::Truncated.into());
         }
+        self.inner.seek(SeekFrom::Start(offset))?;
+        self.pos = offset;
+        Ok(())
     }
-    expect_eof(input)
 }
 
-/// Rejects any bytes after the end marker.
-fn expect_eof(input: &mut impl Read) -> Result<(), StreamError> {
-    let mut probe = [0u8; 1];
-    if read_exact_or_eof(input, &mut probe)? != 0 {
-        return Err(Error::Corrupt("trailing bytes after the end marker".into()).into());
+impl<R: Read> ByteSource for ReaderSource<'_, R> {
+    type Segment = Vec<u8>;
+
+    fn read_exact(&mut self, buf: &mut [u8]) -> Result<(), StreamError> {
+        self.check(buf.len())?;
+        self.inner.read_exact(buf).map_err(short_read)?;
+        self.advance(buf.len());
+        Ok(())
     }
-    Ok(())
-}
 
-/// A (compressed segment, decode limit) job and its decoded result.
-type SegmentPipe = Pipeline<'static, (Vec<u8>, usize), Result<Vec<u8>, blockzip::Error>>;
-
-fn next_segment(pipe: &SegmentPipe) -> Result<Vec<u8>, StreamError> {
-    Ok(pipe
-        .next()
-        .map_err(|_| Error::Internal("decompression worker panicked".into()))
-        .map_err(StreamError::from)?
-        .map_err(Error::Post)?)
-}
-
-fn read_all(r: &mut impl Read, buf: &mut [u8]) -> Result<(), StreamError> {
-    let got = read_exact_or_eof(r, buf)?;
-    if got != buf.len() {
-        return Err(Error::Truncated.into());
+    fn take(&mut self, len: usize) -> Result<Vec<u8>, StreamError> {
+        self.check(len)?;
+        let reserve = if self.end.is_some() { len } else { len.min(SEGMENT_PREALLOC) };
+        let mut seg = Vec::with_capacity(reserve);
+        (&mut *self.inner).take(len as u64).read_to_end(&mut seg)?;
+        if seg.len() != len {
+            return Err(Error::Truncated.into());
+        }
+        self.advance(len);
+        Ok(seg)
     }
-    Ok(())
-}
 
-/// Reads one length-prefixed compressed segment without decoding it.
-fn read_segment(r: &mut impl Read) -> Result<Vec<u8>, StreamError> {
-    let mut len4 = [0u8; 4];
-    read_all(r, &mut len4)?;
-    let len = u32::from_le_bytes(len4) as usize;
-    let mut packed = vec![0u8; len];
-    read_all(r, &mut packed)?;
-    Ok(packed)
+    fn pos(&self) -> u64 {
+        self.pos
+    }
+
+    fn at_end(&mut self) -> Result<bool, StreamError> {
+        if let Some(end) = self.end {
+            return Ok(self.pos >= end);
+        }
+        Ok(read_exact_or_eof(self.inner, &mut [0u8; 1])? == 0)
+    }
 }
 
 #[cfg(test)]

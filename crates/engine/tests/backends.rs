@@ -203,13 +203,14 @@ fn tuner_scoring_respects_the_backend() {
     let mut sizes = Vec::new();
     for backend in Backend::ALL {
         let opts = options(backend, 0, 1, 1);
-        let serial =
-            tcgen_engine::score_candidates(&candidates, &pcs, &values, &opts).expect("score");
+        let serial = tcgen_engine::score_candidates(&candidates, &pcs, &values, &opts, None)
+            .expect("score");
         let threaded = tcgen_engine::score_candidates(
             &candidates,
             &pcs,
             &values,
             &EngineOptions { model_threads: 4, ..opts },
+            None,
         )
         .expect("score threaded");
         assert_eq!(serial, threaded, "{backend:?} scores depend on thread count");

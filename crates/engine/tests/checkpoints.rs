@@ -278,49 +278,3 @@ fn inspect_reports_spans_and_record_ranges() {
     assert_eq!(info.n_blocks, None);
     assert!(info.spans.is_empty());
 }
-
-/// The parallel span path reports how many spans it fanned out, so this
-/// (with the pool-overlap unit test) demonstrates span concurrency even
-/// on machines where wall-clock comparisons are meaningless.
-#[test]
-fn multithreaded_decompress_takes_the_span_path() {
-    let raw = demo_trace(1_200);
-    let packed = Engine::new(spec(), options(4, 1, 1)).compress(&raw).expect("compress");
-    let rec = Recorder::new();
-    let spans = rec.counter("decompress.spans");
-    let engine = Engine::new(spec(), options(0, 4, 1)).with_telemetry(rec);
-    assert_eq!(engine.decompress(&packed).expect("decompress"), raw);
-    assert_eq!(spans.get(), 3, "12 blocks at interval 4 fan out as 3 spans");
-
-    // Single-threaded decode replays sequentially: no span fan-out.
-    let rec = Recorder::new();
-    let spans = rec.counter("decompress.spans");
-    let engine = Engine::new(spec(), options(0, 1, 1)).with_telemetry(rec);
-    assert_eq!(engine.decompress(&packed).expect("decompress"), raw);
-    assert_eq!(spans.get(), 0, "serial decode must not fan out spans");
-}
-
-/// Snapshot restore rides inside the span pool jobs, never on the
-/// driver: every span — including the snapshot-restoring later ones —
-/// is one `replay.span` worker job, and the pool fans out to more than
-/// one worker. Combined with `span_pipeline_overlaps_spans` (which
-/// proves the pool genuinely overlaps jobs), this pins that restoring a
-/// checkpoint cannot serialize the span fan-out, the failure mode
-/// behind the interval-8, 4-thread decompress regression.
-#[test]
-fn span_restore_rides_inside_concurrent_pool_jobs() {
-    let raw = demo_trace(1_600); // 16 blocks of 100, checkpoints every 8
-    let packed = Engine::new(spec(), options(8, 1, 1)).compress(&raw).expect("compress");
-    let rec = Recorder::new();
-    let engine = Engine::new(spec(), options(0, 4, 1)).with_telemetry(rec.clone());
-    assert_eq!(engine.decompress(&packed).expect("decompress"), raw);
-    let report = rec.report();
-    let stage = report.stage("replay.span").expect("span jobs recorded");
-    assert_eq!(stage.count, 2, "both spans replay as pool jobs");
-    let pool = report.pools.iter().find(|p| p.label == "span").expect("span pool present");
-    assert!(pool.workers > 1, "span pool must fan out, got {} worker", pool.workers);
-    assert_eq!(pool.completed, 2, "every span job completed on the pool");
-    // No other stage times a snapshot restore: the worker-job path is
-    // the only restore path, so nothing restores on the driver thread.
-    assert!(report.stage("checkpoint.unpack").is_none());
-}

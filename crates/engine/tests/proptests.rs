@@ -334,8 +334,8 @@ proptest! {
 
     /// Snapshot → restore → continue is byte-identical for every element
     /// width and predictor kind the spec grammar can express: a
-    /// checkpointed container roundtrips through both the sequential and
-    /// the span-parallel decode path, and seeking into it via
+    /// checkpointed container roundtrips through the sequential decoder
+    /// at one and at four segment threads, and seeking into it via
     /// `extract_range` — which restores a mid-stream snapshot and
     /// replays from there — yields exactly the records a full decode
     /// yields.

@@ -3,10 +3,7 @@
 //! report and Chrome-trace sinks must emit valid, complete output.
 
 use tcgen_engine::telemetry::json;
-use tcgen_engine::{
-    compress_stream_with_telemetry, decompress_stream_with_telemetry, Engine, EngineOptions,
-    Recorder,
-};
+use tcgen_engine::{Engine, EngineOptions, Recorder};
 use tcgen_spec::{parse, presets, TraceSpec};
 
 fn spec() -> TraceSpec {
@@ -64,8 +61,10 @@ fn recorder_never_changes_container_bytes() {
     }
 }
 
-/// Streaming paths under the same invariant: streamed-with-recorder
-/// output equals streamed-without equals the in-memory container.
+/// The stream-shaped stages under the same invariant: an engine with a
+/// recorder runs the one block driver every path shares, so its
+/// container equals the unobserved one, and the driver's `io.read` spans
+/// and byte counters are recorded.
 #[test]
 fn streaming_recorder_matches_in_memory_bytes() {
     let raw = demo_trace(1_500);
@@ -78,26 +77,10 @@ fn streaming_recorder_matches_in_memory_bytes() {
     let baseline = Engine::new(spec(), options).compress(&raw).expect("in-memory compress");
 
     let rec = Recorder::new();
-    let mut packed = Vec::new();
-    compress_stream_with_telemetry(
-        &spec(),
-        &options,
-        &mut raw.as_slice(),
-        &mut packed,
-        Some(&rec),
-    )
-    .expect("streamed compress");
-    assert_eq!(packed, baseline, "streamed container differs under telemetry");
-
-    let mut restored = Vec::new();
-    decompress_stream_with_telemetry(
-        &spec(),
-        &options,
-        &mut packed.as_slice(),
-        &mut restored,
-        Some(&rec),
-    )
-    .expect("streamed decompress");
+    let observed = Engine::new(spec(), options).with_telemetry(rec.clone());
+    let packed = observed.compress(&raw).expect("observed compress");
+    assert_eq!(packed, baseline, "container differs under telemetry");
+    let restored = observed.decompress(&packed).expect("observed decompress");
     assert_eq!(restored, raw);
 
     let report = rec.report();

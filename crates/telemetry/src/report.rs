@@ -199,20 +199,21 @@ impl Report {
     /// Derived throughput figures for top-level operations that recorded
     /// both a span and byte/record counters: `(op, mb_per_s,
     /// records_per_s)` for each of `compress` / `decompress` present.
+    /// Both directions measure the uncompressed trace — bytes in for
+    /// compression, bytes out for decompression — in MB of 10^6 bytes.
     pub fn derived(&self) -> Vec<(String, f64, f64)> {
         let mut out = Vec::new();
-        for op in ["compress", "decompress"] {
+        for (op, trace_bytes) in
+            [("compress", "compress.bytes_in"), ("decompress", "decompress.bytes_out")]
+        {
             let Some(stage) = self.stage(op) else { continue };
             if stage.total_ns == 0 {
                 continue;
             }
             let secs = stage.total_ns as f64 / 1e9;
-            let bytes_key = format!("{op}.bytes_in");
             let records_key = format!("{op}.records");
-            let mb_per_s = self
-                .counter(&bytes_key)
-                .map(|b| b as f64 / (1024.0 * 1024.0) / secs)
-                .unwrap_or(0.0);
+            let mb_per_s =
+                self.counter(trace_bytes).map(|b| b as f64 / 1e6 / secs).unwrap_or(0.0);
             let records_per_s =
                 self.counter(&records_key).map(|r| r as f64 / secs).unwrap_or(0.0);
             if mb_per_s > 0.0 || records_per_s > 0.0 {
@@ -455,6 +456,7 @@ impl fmt::Display for Report {
 
 #[cfg(test)]
 mod tests {
+    use super::{Report, StageStats};
     use crate::json::{parse, Value};
     use crate::{Recorder, TrackId};
 
@@ -478,6 +480,39 @@ mod tests {
         assert_eq!(derived.len(), 1);
         assert_eq!(derived[0].0, "compress");
         assert!(derived[0].1 > 0.0);
+    }
+
+    #[test]
+    fn derived_throughput_counts_trace_bytes_in_decimal_mb() {
+        let stage = |name: &str| StageStats {
+            name: name.to_string(),
+            count: 1,
+            total_ns: 2_000_000_000,
+            max_ns: 2_000_000_000,
+        };
+        let counter = |name: &str, v: u64| (name.to_string(), v);
+        let report = Report {
+            wall_ns: 4_000_000_000,
+            since_unix_ms: 0,
+            counters: vec![
+                counter("compress.bytes_in", 8_000_000),
+                counter("compress.bytes_out", 1_000_000),
+                counter("decompress.bytes_in", 1_000_000),
+                counter("decompress.bytes_out", 8_000_000),
+            ],
+            stages: vec![stage("compress"), stage("decompress")],
+            tracks: Vec::new(),
+            pools: Vec::new(),
+            histograms: Vec::new(),
+            windows: Vec::new(),
+        };
+        let derived = report.derived();
+        // 8 MB of trace in 2 s is 4 MB/s each way: decompression is
+        // measured on the bytes it produces, not the container it reads.
+        assert_eq!(derived.len(), 2);
+        for (op, mb_per_s, _) in &derived {
+            assert!((mb_per_s - 4.0).abs() < 1e-9, "{op}: {mb_per_s} MB/s");
+        }
     }
 
     #[test]

@@ -171,25 +171,18 @@ impl TuneOutcome {
 /// [`TuneOutcome::tuned`] at any [`EngineOptions::threads`] /
 /// [`EngineOptions::model_threads`] setting.
 ///
+/// With a recorder, sampling, each field's search, and the full-trace
+/// guard are traced as `tune.sample` / `tune.field` / `tune.guard`
+/// spans, candidate evaluations show up as `tune.eval` spans and the
+/// `tune.evals` counter, and the guard compressions feed the
+/// `compress.*` stages. The emitted spec is byte-identical with and
+/// without a recorder.
+///
 /// # Errors
 ///
 /// [`TuneError::Engine`] if `raw` is not a whole number of records
 /// after the header.
 pub fn tune(
-    base: &TraceSpec,
-    raw: &[u8],
-    options: &TunerOptions,
-) -> Result<TuneOutcome, TuneError> {
-    tune_with_telemetry(base, raw, options, None)
-}
-
-/// [`tune`] with an optional telemetry recorder: sampling, each field's
-/// search, and the full-trace guard are traced as `tune.sample` /
-/// `tune.field` / `tune.guard` spans, candidate evaluations show up as
-/// `tune.eval` spans and the `tune.evals` counter, and the guard
-/// compressions feed the `compress.*` stages. The emitted spec is
-/// byte-identical with and without a recorder.
-pub fn tune_with_telemetry(
     base: &TraceSpec,
     raw: &[u8],
     options: &TunerOptions,

@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use tcgen_engine::{score_candidates_with_telemetry, CandidateScore, OccTable};
+use tcgen_engine::{score_candidates, CandidateScore, OccTable};
 use tcgen_predictors::predictor_candidates;
 use tcgen_spec::validate::{MAX_HEIGHT, MAX_L1, MAX_L2, MAX_ORDER};
 use tcgen_spec::{FieldSpec, PredictorSpec};
@@ -127,13 +127,8 @@ impl SearchState<'_> {
         if accepted.is_empty() {
             return Ok(());
         }
-        let scores = score_candidates_with_telemetry(
-            &accepted,
-            self.pcs,
-            self.values,
-            &self.options.engine,
-            self.tel,
-        )?;
+        let scores =
+            score_candidates(&accepted, self.pcs, self.values, &self.options.engine, self.tel)?;
         for (field, score) in accepted.into_iter().zip(scores) {
             self.entries.push(Entry { field, score, stage });
         }

@@ -18,8 +18,8 @@ fn tuning_is_deterministic_across_runs_and_thread_counts() {
     let base = tcgen_spec::parse(presets::TCGEN_A).unwrap();
     let raw = gzip_store_trace(30_000);
 
-    let a = tune(&base, &raw, &smoke_options()).unwrap();
-    let b = tune(&base, &raw, &smoke_options()).unwrap();
+    let a = tune(&base, &raw, &smoke_options(), None).unwrap();
+    let b = tune(&base, &raw, &smoke_options(), None).unwrap();
     assert_eq!(
         tcgen_spec::canonical(&a.tuned),
         tcgen_spec::canonical(&b.tuned),
@@ -30,7 +30,7 @@ fn tuning_is_deterministic_across_runs_and_thread_counts() {
 
     let mut threaded = smoke_options();
     threaded.engine = EngineOptions { threads: 4, model_threads: 4, ..threaded.engine };
-    let c = tune(&base, &raw, &threaded).unwrap();
+    let c = tune(&base, &raw, &threaded, None).unwrap();
     assert_eq!(
         tcgen_spec::canonical(&a.tuned),
         tcgen_spec::canonical(&c.tuned),
@@ -43,7 +43,7 @@ fn tuning_is_deterministic_across_runs_and_thread_counts() {
 fn tuned_spec_round_trips_through_parse_and_the_engine() {
     let base = tcgen_spec::parse(presets::TCGEN_A).unwrap();
     let raw = gzip_store_trace(20_000);
-    let outcome = tune(&base, &raw, &smoke_options()).unwrap();
+    let outcome = tune(&base, &raw, &smoke_options(), None).unwrap();
 
     // Canonical text is a fixpoint and re-parses to the same spec.
     let text = tcgen_spec::canonical(&outcome.tuned);
@@ -60,7 +60,7 @@ fn tuned_spec_round_trips_through_parse_and_the_engine() {
 fn tuned_container_never_beats_worse_than_base() {
     let base = tcgen_spec::parse(presets::TCGEN_A).unwrap();
     let raw = gzip_store_trace(25_000);
-    let outcome = tune(&base, &raw, &smoke_options()).unwrap();
+    let outcome = tune(&base, &raw, &smoke_options(), None).unwrap();
 
     let base_packed =
         Engine::new(outcome.base.clone(), EngineOptions::tcgen()).compress(&raw).unwrap();
@@ -80,7 +80,7 @@ fn budget_bounds_the_evaluations() {
     let base = tcgen_spec::parse(presets::TCGEN_A).unwrap();
     let raw = gzip_store_trace(5_000);
     let tight = TunerOptions { budget_evals: 5, sample_records: 2_000, ..Default::default() };
-    let outcome = tune(&base, &raw, &tight).unwrap();
+    let outcome = tune(&base, &raw, &tight, None).unwrap();
     for field in &outcome.fields {
         assert!(
             field.evaluations.len() <= 5,
@@ -98,7 +98,7 @@ fn empty_trace_tunes_without_error() {
     let base = tcgen_spec::parse(presets::TCGEN_A).unwrap();
     // Header only, zero records.
     let raw = vec![0u8; 4];
-    let outcome = tune(&base, &raw, &smoke_options()).unwrap();
+    let outcome = tune(&base, &raw, &smoke_options(), None).unwrap();
     assert_eq!(outcome.total_records, 0);
     tcgen_spec::validate(&outcome.tuned).unwrap();
     assert!(outcome.tuned_container_bytes <= outcome.base_container_bytes);
@@ -109,7 +109,7 @@ fn report_is_valid_enough_json_and_mentions_the_winner() {
     let base = tcgen_spec::parse(presets::TCGEN_A).unwrap();
     let raw = gzip_store_trace(5_000);
     let options = smoke_options();
-    let outcome = tune(&base, &raw, &options).unwrap();
+    let outcome = tune(&base, &raw, &options, None).unwrap();
     let json = tcgen_tuner::report_json(&outcome, &options);
     assert!(json.starts_with("{\n"));
     assert!(json.trim_end().ends_with('}'));
