@@ -14,11 +14,10 @@
 //! `--csv FILE` additionally writes the per-trace measurements of the
 //! figures as machine-readable rows. `--json [FILE]` writes the
 //! per-algorithm harmonic-mean summary (compressed sizes plus
-//! compression/decompression throughput) as JSON, defaulting to
-//! `BENCH_pipeline.json`, plus informational `telemetry_overhead` and
-//! `metrics_overhead` objects comparing TCgen throughput without and
-//! with a recorder, and with the serve-style histogram/window sampling
-//! on top of one.
+//! compression/decompression throughput, MB = 10^6 bytes) as JSON,
+//! defaulting to `BENCH_pipeline.json`. Throughput here is one pass per
+//! trace and informational; repeated, median-reported speed runs live in
+//! the end-to-end benchmark (`e2ebench`).
 //! `--verbose` restores the per-step progress notes on stderr.
 //! `--stats` prints a per-stage telemetry summary of one instrumented
 //! TCgen run after the tables; `--trace-out FILE` writes that run as a
@@ -27,9 +26,8 @@
 use std::collections::BTreeMap;
 
 use tcgen_bench::{
-    ablation_rows, algorithms, corpus, harmonic_mean, mb, measure, measure_checkpoint_speed,
-    measure_metrics_overhead, measure_profile_speed, measure_service_speed,
-    measure_telemetry_overhead, tcgen_b, EngineCodec, Measurement,
+    ablation_rows, algorithms, corpus, harmonic_mean, mb, measure, tcgen_b, EngineCodec,
+    Measurement,
 };
 use tcgen_engine::{EngineOptions, Recorder};
 use tcgen_spec::presets;
@@ -113,7 +111,7 @@ fn main() {
             table1(records);
             let all = measure_all(records);
             dump_csv(&all);
-            dump_json(&all, records);
+            dump_json(&all);
             figure_from(&all, Metric::Rate);
             figure_from(&all, Metric::DecompressSpeed);
             figure_from(&all, Metric::CompressSpeed);
@@ -197,7 +195,7 @@ static JSON_PATH: std::sync::OnceLock<Option<String>> = std::sync::OnceLock::new
 /// so CI and scripts can consume the numbers without scraping tables.
 /// Hand-rolled serialization: the shape is flat and fixed, and the
 /// harness takes no serialization dependency for it.
-fn dump_json(all: &AllResults, records: usize) {
+fn dump_json(all: &AllResults) {
     let Some(Some(path)) = JSON_PATH.get() else {
         return;
     };
@@ -219,134 +217,11 @@ fn dump_json(all: &AllResults, records: usize) {
             ));
         }
     }
-    // Informational: the cost of leaving a telemetry recorder attached,
-    // on one gzip store-address trace. Never gated on — the byte-identity
-    // guarantee is tested elsewhere; this just tracks the time cost.
-    progress(format_args!("[measuring telemetry overhead]"));
-    let program = suite().into_iter().find(|p| p.name == "gzip").expect("gzip is in Table 1");
-    let raw = generate_trace(&program, TraceKind::StoreAddress, records).to_bytes();
-    let overhead = measure_telemetry_overhead(&raw, 3);
-    // Informational: what the serve-style metrics discipline (per-job
-    // histograms plus a window sampler) adds on top of that recorder.
-    progress(format_args!("[measuring metrics overhead]"));
-    let metrics = measure_metrics_overhead(&raw, 3);
-    // Informational: the post-compression profile trade-off on the fixed
-    // 2M-record gzip store-address trace, large enough that table misses
-    // and entropy coding — not setup — dominate. Sizes and speedups here
-    // are reported, never gated on; the corpus rows above stay the
-    // regression surface.
-    progress(format_args!("[measuring profile speeds on the 2M-record gzip store trace]"));
-    let speeds = measure_profile_speed(PROFILE_SPEED_RECORDS, 3);
-    let profile_rows: Vec<String> = speeds
-        .rows
-        .iter()
-        .map(|r| {
-            format!(
-                "      {{\"profile\": \"{}\", \"compressed_bytes\": {}, \
-                 \"compress_s\": {:.4}, \"compress_mb_per_s\": {:.4}, \
-                 \"decompress_s\": {:.4}, \"decompress_mb_per_s\": {:.4}, \
-                 \"speedup_vs_max\": {:.4}}}",
-                r.profile,
-                r.compressed,
-                r.compress_seconds,
-                mb(speeds.original as f64 / r.compress_seconds),
-                r.decompress_seconds,
-                mb(speeds.original as f64 / r.decompress_seconds),
-                r.speedup_vs_max
-            )
-        })
-        .collect();
-    // Informational: the checkpointed-container trade on the same fixed
-    // trace — container bytes spent on checkpoints versus decompression
-    // wall time at one and four worker threads. Sizes here include the
-    // checkpoint segments and footer and are never gated on.
-    progress(format_args!("[measuring checkpointed decompression speeds]"));
-    let ckpt = measure_checkpoint_speed(PROFILE_SPEED_RECORDS, 3);
-    let ckpt_rows: Vec<String> = ckpt
-        .rows
-        .iter()
-        .map(|r| {
-            format!(
-                "      {{\"checkpoint_blocks\": {}, \"threads\": {}, \
-                 \"compressed_bytes\": {}, \"compress_s\": {:.4}, \
-                 \"decompress_s\": {:.4}, \"decompress_mb_per_s\": {:.4}}}",
-                r.checkpoint_blocks,
-                r.threads,
-                r.compressed,
-                r.compress_seconds,
-                r.decompress_seconds,
-                mb(ckpt.original as f64 / r.decompress_seconds)
-            )
-        })
-        .collect();
-    // Informational: what the `tcgen serve` daemon adds on top of the
-    // engine — requests/s and per-job latency for a flood of small
-    // jobs from concurrent clients versus one big job over the same
-    // workload. Wire framing and scheduling cost time, never bytes.
-    progress(format_args!("[measuring service request throughput]"));
-    let service = measure_service_speed(SERVICE_SPEED_RECORDS, 2);
-    let service_rows: Vec<String> = service
-        .rows
-        .iter()
-        .map(|r| {
-            format!(
-                "      {{\"scenario\": \"{}\", \"jobs\": {}, \"records_per_job\": {}, \
-                 \"total_s\": {:.4}, \"requests_per_s\": {:.4}, \"mean_job_s\": {:.4}}}",
-                r.scenario,
-                r.jobs,
-                r.records_per_job,
-                r.total_seconds,
-                r.requests_per_second(),
-                r.mean_job_seconds
-            )
-        })
-        .collect();
-    let text = format!(
-        "{{\n  \"results\": [\n{}\n  ],\n  \"telemetry_overhead\": {{\
-         \"stats_off_mb_per_s\": {:.4}, \"stats_on_mb_per_s\": {:.4}, \
-         \"overhead_fraction\": {:.4}}},\n  \"metrics_overhead\": {{\
-         \"recorder_only_mb_per_s\": {:.4}, \"metrics_on_mb_per_s\": {:.4}, \
-         \"overhead_fraction\": {:.4}}},\n  \"profile_speed\": {{\n    \
-         \"trace\": \"gzip store-address\", \"records\": {}, \"original_bytes\": {},\n    \
-         \"profiles\": [\n{}\n    ]\n  }},\n  \"checkpoint_speed\": {{\n    \
-         \"trace\": \"gzip store-address\", \"records\": {}, \"original_bytes\": {},\n    \
-         \"block_records\": {}, \"informational\": true,\n    \
-         \"rows\": [\n{}\n    ]\n  }},\n  \"service_speed\": {{\n    \
-         \"trace\": \"gzip store-address\", \"records\": {}, \"original_bytes\": {},\n    \
-         \"informational\": true,\n    \
-         \"rows\": [\n{}\n    ]\n  }}\n}}\n",
-        rows.join(",\n"),
-        mb(overhead.stats_off),
-        mb(overhead.stats_on),
-        overhead.overhead_fraction(),
-        mb(metrics.recorder_only),
-        mb(metrics.metrics_on),
-        metrics.overhead_fraction(),
-        speeds.records,
-        speeds.original,
-        profile_rows.join(",\n"),
-        ckpt.records,
-        ckpt.original,
-        ckpt.block_records,
-        ckpt_rows.join(",\n"),
-        service.records,
-        service.original,
-        service_rows.join(",\n")
-    );
+    let text = format!("{{\n  \"results\": [\n{}\n  ]\n}}\n", rows.join(",\n"));
     if let Err(e) = std::fs::write(path, text) {
         eprintln!("reproduce: cannot write {path}: {e}");
     }
 }
-
-/// Base record count of the profile-speed measurement; fixed (rather
-/// than riding `--records`) so the committed numbers always describe the
-/// same trace.
-const PROFILE_SPEED_RECORDS: usize = 2_000_000;
-
-/// Smaller than the profile-speed trace: the service measurement prices
-/// request handling (8 concurrent small jobs and 1 big one, twice), not
-/// bulk throughput, and rides on every bench CI run.
-const SERVICE_SPEED_RECORDS: usize = 400_000;
 
 #[derive(Clone, Copy, PartialEq)]
 enum Metric {
@@ -429,7 +304,7 @@ fn table1(records: usize) {
 fn figure(records: usize, metric: Metric) {
     let all = measure_all(records);
     dump_csv(&all);
-    dump_json(&all, records);
+    dump_json(&all);
     figure_from(&all, metric);
 }
 

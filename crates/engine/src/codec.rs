@@ -60,7 +60,7 @@ use crate::columnar::{Modeler, ReplayPipe, Replayer};
 use crate::container::{self, BLOCK_MARKER, CHECKPOINT_MARKER, END_MARKER, PRELUDE_LEN};
 use crate::options::EngineOptions;
 use crate::pool::{Pipeline, PoolTelemetry};
-use crate::postcodec::{Backend, PostCodec};
+use crate::postcodec::{Backend, Codec};
 use crate::stream_io::StreamError;
 use crate::streams::BlockStreams;
 use crate::usage::UsageReport;
@@ -90,11 +90,7 @@ pub fn spec_hash(spec: &TraceSpec) -> u32 {
 }
 
 /// A post-codec for `backend` with `tel`'s stage probes attached.
-fn probed(
-    backend: Backend,
-    level: blockzip::Level,
-    tel: Option<&Recorder>,
-) -> Box<dyn PostCodec> {
+fn probed(backend: Backend, level: blockzip::Level, tel: Option<&Recorder>) -> Codec {
     let mut codec = backend.codec(level);
     if let Some(rec) = tel {
         codec.attach_probes(rec);
@@ -112,10 +108,7 @@ fn probed(
 /// seeking saves. The choice is part of the checkpointed container
 /// format: every writer and every reader opens snapshot frames with this
 /// codec.
-pub(crate) fn checkpoint_codec(
-    level: blockzip::Level,
-    tel: Option<&Recorder>,
-) -> Box<dyn PostCodec> {
+pub(crate) fn checkpoint_codec(level: blockzip::Level, tel: Option<&Recorder>) -> Codec {
     probed(Backend::Fast, level, tel)
 }
 
@@ -192,7 +185,7 @@ type PendingBlock = (u32, Option<Vec<u8>>);
 struct Checkpoints {
     interval: usize,
     footer: container::Footer,
-    codec: Box<dyn PostCodec>,
+    codec: Codec,
 }
 
 /// The compress driver: reads records from `source`, models them a block
@@ -222,7 +215,7 @@ pub(crate) fn compress(
     let threads = options.effective_threads();
     let mut modeler = Modeler::new(spec, options);
     let model_pipe = Modeler::pipe(options.effective_model_threads(), tel);
-    let pack: PackPipe = Pipeline::start_instrumented(
+    let pack: PackPipe = Pipeline::start(
         threads,
         PoolTelemetry::from(tel, "pack", options.backend.pack_span()),
         || {
@@ -576,7 +569,7 @@ where
         tel: Option<&'env Recorder>,
     ) -> Self {
         let backend = effective.backend;
-        let unpack = Pipeline::start_instrumented(
+        let unpack = Pipeline::start(
             effective.effective_threads(),
             PoolTelemetry::from(tel, "unpack", backend.unpack_span()),
             || {

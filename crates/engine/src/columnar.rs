@@ -134,11 +134,9 @@ impl Modeler {
     /// recorder, each worker traces its per-field jobs as `model.field`
     /// spans.
     pub(crate) fn pipe(model_threads: usize, tel: Option<&Recorder>) -> ModelPipe {
-        Pipeline::start_instrumented(
-            model_threads,
-            PoolTelemetry::from(tel, "model", "model.field"),
-            || ModelJob::run,
-        )
+        Pipeline::start(model_threads, PoolTelemetry::from(tel, "model", "model.field"), || {
+            ModelJob::run
+        })
     }
 
     /// Copies each bank's value-table footprint and table occupancy into
@@ -378,7 +376,7 @@ impl Replayer {
     /// Starts the replay pipeline on the shared pool; with a recorder,
     /// each worker traces its per-field jobs as `replay.field` spans.
     pub(crate) fn pipe(model_threads: usize, tel: Option<&Recorder>) -> ReplayPipe {
-        Pipeline::start_instrumented(
+        Pipeline::start(
             model_threads,
             PoolTelemetry::from(tel, "replay", "replay.field"),
             || ReplayJob::run,

@@ -23,7 +23,7 @@ use tcgen_telemetry::Recorder;
 
 use crate::options::EngineOptions;
 use crate::pool::{Pipeline, PoolTelemetry};
-use crate::postcodec::PostCodec;
+use crate::postcodec::Codec;
 use crate::streams::write_value;
 use crate::Error;
 
@@ -55,7 +55,7 @@ struct EvalJob {
 fn evaluate(
     job: &EvalJob,
     options: &EngineOptions,
-    codec: &mut dyn PostCodec,
+    codec: &mut Codec,
 ) -> Result<CandidateScore, Error> {
     let mut bank = FieldBank::new(&job.field, options.predictor);
     let mut codes: Vec<u8> = Vec::with_capacity(job.values.len());
@@ -120,14 +120,10 @@ pub fn score_candidates(
     }
     let threads = options.effective_model_threads().min(candidates.len().max(1));
     let pipe: Pipeline<'_, EvalJob, Result<CandidateScore, Error>> =
-        Pipeline::start_instrumented(
-            threads,
-            PoolTelemetry::from(tel, "tune-eval", "tune.eval"),
-            || {
-                let mut codec = options.backend.codec(options.level);
-                move |job: EvalJob| evaluate(&job, options, codec.as_mut())
-            },
-        );
+        Pipeline::start(threads, PoolTelemetry::from(tel, "tune-eval", "tune.eval"), || {
+            let mut codec = options.backend.codec(options.level);
+            move |job: EvalJob| evaluate(&job, options, &mut codec)
+        });
     for f in candidates {
         pipe.submit(EvalJob {
             field: f.clone(),

@@ -42,7 +42,7 @@ pub mod usage;
 pub use evaluate::{score_candidates, CandidateScore};
 pub use options::EngineOptions;
 pub use pool::with_job_priority;
-pub use postcodec::{Backend, PostCodec};
+pub use postcodec::{Backend, Codec};
 pub use seek::{extract_range, inspect, ContainerInfo, SpanInfo, SEEK_BYTES_READ};
 pub use stream_io::{compress_stream, decompress_stream, StreamError};
 pub use tcgen_predictors::{OccTable, TableOccupancy};

@@ -14,20 +14,19 @@
 //!
 //! * [`SharedPool`] — a set of *owned* (non-scoped) worker threads shared
 //!   by every pipeline in the process ([`SharedPool::global`]). Callers
-//!   register a **job** ([`SharedPool::job`]) with a priority, a
-//!   parallelism cap, and a queue capacity, and submit type-erased tasks
-//!   to it. Workers scan all registered jobs and run the
-//!   highest-priority eligible task, round-robin among equal priorities,
-//!   so every live job makes progress and a hot job's tasks are picked up
-//!   by whichever worker frees first (work sharing across jobs). A job's
-//!   `max_parallel` bounds how many workers run it at once, and the pool
+//!   register a **job** ([`SharedPool::job`]) with a priority and a
+//!   parallelism cap, and submit type-erased tasks to it. Workers scan
+//!   all registered jobs and run the highest-priority eligible task,
+//!   round-robin among equal priorities, so every live job makes
+//!   progress and a hot job's tasks are picked up by whichever worker
+//!   frees first (work sharing across jobs). A job's `max_parallel` bounds how many workers run it at once, and the pool
 //!   grows its worker set to the *sum* of the parallelism caps of the
 //!   jobs live at registration time — the same thread count the old
 //!   per-call scoped pools would have spawned, minus the per-call spawn
 //!   cost — so no job can starve another of its configured share.
-//!   Submission blocks while a job's queue is at capacity
-//!   (backpressure); dropping the job handle abandons unstarted tasks
-//!   and blocks until in-flight ones finish.
+//!   Submission never blocks: the codec bounds how far it runs ahead of
+//!   consumption itself. Dropping the job handle abandons unstarted
+//!   tasks and blocks until in-flight ones finish.
 //!
 //! * [`Pipeline`] — the ordered fan-out/fan-in adapter the codec uses,
 //!   a thin veneer over a `SharedPool` job. No [`std::thread::scope`] is
@@ -99,16 +98,12 @@ pub(crate) struct JobConfig {
     pub priority: u8,
     /// Most workers allowed on this job at once (≥ 1).
     pub max_parallel: usize,
-    /// Queue capacity; [`JobHandle::submit`] blocks at this depth.
-    /// `usize::MAX` means the caller bounds submission itself.
-    pub capacity: usize,
 }
 
 struct Job {
     id: u64,
     priority: u8,
     max_parallel: usize,
-    capacity: usize,
     queue: VecDeque<Task>,
     inflight: usize,
 }
@@ -117,17 +112,16 @@ struct PoolState {
     jobs: Vec<Job>,
     next_job: u64,
     workers: usize,
-    shutdown: bool,
     /// Round-robin cursor breaking priority ties across jobs.
     rr: u64,
 }
 
 struct PoolInner {
     state: Mutex<PoolState>,
-    /// Signalled when a task is queued or the pool shuts down.
+    /// Signalled when a task is queued or a job's parallelism slot frees.
     work_ready: Condvar,
-    /// Signalled when a task starts (queue space freed) or finishes
-    /// (in-flight count dropped) — submitters and drainers wait here.
+    /// Signalled when a task finishes (in-flight count dropped) —
+    /// dropping job handles wait here.
     job_ready: Condvar,
 }
 
@@ -137,29 +131,23 @@ pub(crate) struct SharedPool {
 }
 
 impl SharedPool {
-    /// A pool with no workers yet; workers spawn on demand as jobs
-    /// register. Unit tests build private pools for determinism —
-    /// everything else uses [`SharedPool::global`].
-    pub fn new() -> Self {
-        Self {
+    /// The process-wide pool every [`Pipeline`] runs on. It starts with
+    /// no workers (they spawn on demand as jobs register) and lives for
+    /// the process.
+    pub fn global() -> &'static SharedPool {
+        static GLOBAL: OnceLock<SharedPool> = OnceLock::new();
+        GLOBAL.get_or_init(|| SharedPool {
             inner: Arc::new(PoolInner {
                 state: Mutex::new(PoolState {
                     jobs: Vec::new(),
                     next_job: 0,
                     workers: 0,
-                    shutdown: false,
                     rr: 0,
                 }),
                 work_ready: Condvar::new(),
                 job_ready: Condvar::new(),
             }),
-        }
-    }
-
-    /// The process-wide pool every [`Pipeline`] runs on.
-    pub fn global() -> &'static SharedPool {
-        static GLOBAL: OnceLock<SharedPool> = OnceLock::new();
-        GLOBAL.get_or_init(SharedPool::new)
+        })
     }
 
     /// Registers a job and grows the worker set so that every live job
@@ -173,7 +161,6 @@ impl SharedPool {
             id,
             priority: cfg.priority,
             max_parallel,
-            capacity: cfg.capacity.max(1),
             queue: VecDeque::new(),
             inflight: 0,
         });
@@ -191,17 +178,6 @@ impl SharedPool {
     }
 }
 
-impl Drop for SharedPool {
-    fn drop(&mut self) {
-        // Private pools (tests) release their workers; the global pool
-        // lives for the process and never drops.
-        let mut st = self.inner.state.lock().unwrap();
-        st.shutdown = true;
-        drop(st);
-        self.inner.work_ready.notify_all();
-    }
-}
-
 /// A registered job on a [`SharedPool`]. Dropping it abandons queued
 /// tasks and blocks until in-flight tasks complete, so tasks never
 /// outlive the data their submitter still borrows.
@@ -211,22 +187,15 @@ pub(crate) struct JobHandle {
 }
 
 impl JobHandle {
-    /// Queues a task, blocking while the job is at capacity.
+    /// Queues a task.
     pub fn submit(&self, task: Task) {
-        let mut task = Some(task);
         let mut st = self.inner.state.lock().unwrap();
-        loop {
-            let job = st
-                .jobs
-                .iter_mut()
-                .find(|j| j.id == self.id)
-                .expect("job is registered until its handle drops");
-            if job.queue.len() < job.capacity {
-                job.queue.push_back(task.take().unwrap());
-                break;
-            }
-            st = self.inner.job_ready.wait(st).unwrap();
-        }
+        st.jobs
+            .iter_mut()
+            .find(|j| j.id == self.id)
+            .expect("job is registered until its handle drops")
+            .queue
+            .push_back(task);
         drop(st);
         self.inner.work_ready.notify_one();
     }
@@ -267,17 +236,12 @@ fn worker_loop(inner: &PoolInner) {
         let (job_id, task) = {
             let mut st = inner.state.lock().unwrap();
             loop {
-                if st.shutdown {
-                    return;
-                }
                 if let Some(picked) = take_task(&mut st) {
                     break picked;
                 }
                 st = inner.work_ready.wait(st).unwrap();
             }
         };
-        // A task starting frees queue capacity for its submitter.
-        inner.job_ready.notify_all();
         // Tasks wrap their own panic handling (a pipeline poisons
         // itself); this net only keeps the worker alive regardless.
         let _ = catch_unwind(AssertUnwindSafe(task));
@@ -338,8 +302,7 @@ pub(crate) struct PoolTelemetry {
 
 impl PoolTelemetry {
     /// Builds the hookup when a recorder is attached; `None` otherwise,
-    /// which makes [`Pipeline::start_instrumented`] behave exactly like
-    /// [`Pipeline::start`].
+    /// which starts an uninstrumented [`Pipeline`].
     pub fn from(
         tel: Option<&Recorder>,
         label: &'static str,
@@ -434,25 +397,10 @@ impl<'env, I: Send + 'env, O: Send + 'env> Pipeline<'env, I, O> {
     /// `make_worker` runs once per slot on the calling thread and returns
     /// that slot's job function, which lets each concurrent task own
     /// private mutable state (e.g. a [`blockzip::Scratch`] reused across
-    /// jobs).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn start<F, W>(threads: usize, make_worker: F) -> Self
-    where
-        F: Fn() -> W,
-        W: FnMut(I) -> O + Send + 'env,
-    {
-        Self::start_instrumented(threads, None, make_worker)
-    }
-
-    /// [`Pipeline::start`] with optional telemetry: each worker slot gets
-    /// its own timeline track named `{label}-{index}` and wraps every job
-    /// in a span, and submissions record the queue depth they join. With
-    /// `tel` of `None` this is exactly [`Pipeline::start`].
-    pub fn start_instrumented<F, W>(
-        threads: usize,
-        tel: Option<PoolTelemetry>,
-        make_worker: F,
-    ) -> Self
+    /// jobs). With telemetry, each worker slot gets its own timeline
+    /// track named `{label}-{index}` and wraps every job in a span, and
+    /// submissions record the queue depth they join.
+    pub fn start<F, W>(threads: usize, tel: Option<PoolTelemetry>, make_worker: F) -> Self
     where
         F: Fn() -> W,
         W: FnMut(I) -> O + Send + 'env,
@@ -485,13 +433,8 @@ impl<'env, I: Send + 'env, O: Send + 'env> Pipeline<'env, I, O> {
             }),
             done_ready: Condvar::new(),
         });
-        let job = SharedPool::global().job(JobConfig {
-            priority: current_priority(),
-            max_parallel: threads,
-            // Call sites bound how far submission runs ahead of
-            // consumption themselves.
-            capacity: usize::MAX,
-        });
+        let job = SharedPool::global()
+            .job(JobConfig { priority: current_priority(), max_parallel: threads });
         let make_task = {
             let core = Arc::clone(&core);
             Box::new(move |seq: u64, input: I| -> Box<dyn FnOnce() + Send + 'env> {
@@ -619,12 +562,10 @@ fn run_one<I, O, W: FnMut(I) -> O>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::mpsc;
 
     #[test]
     fn results_come_back_in_submission_order() {
-        let pipe = Pipeline::start(4, || {
+        let pipe = Pipeline::start(4, None, || {
             |n: u64| {
                 // Stagger so later submissions often finish first.
                 std::thread::sleep(std::time::Duration::from_micros(500 - n % 500));
@@ -641,7 +582,7 @@ mod tests {
 
     #[test]
     fn interleaved_submit_and_consume() {
-        let pipe = Pipeline::start(2, || |n: usize| n + 1);
+        let pipe = Pipeline::start(2, None, || |n: usize| n + 1);
         let mut expect = 0;
         for round in 0..50usize {
             pipe.submit(round * 2);
@@ -663,7 +604,7 @@ mod tests {
     fn jobs_may_borrow_from_the_callers_stack() {
         let data: Vec<u32> = (0..64).collect();
         let slices: Vec<&[u32]> = data.chunks(8).collect();
-        let pipe = Pipeline::start(3, || |s: &[u32]| s.iter().sum::<u32>());
+        let pipe = Pipeline::start(3, None, || |s: &[u32]| s.iter().sum::<u32>());
         for s in &slices {
             pipe.submit(s);
         }
@@ -674,7 +615,7 @@ mod tests {
 
     #[test]
     fn worker_panic_is_reported_not_deadlocked() {
-        let pipe = Pipeline::start(2, || {
+        let pipe = Pipeline::start(2, None, || {
             |n: u32| {
                 assert!(n != 5, "boom");
                 n
@@ -697,8 +638,8 @@ mod tests {
 
     #[test]
     fn panic_poisons_only_its_own_pipeline() {
-        let bad = Pipeline::start(2, || |_: u32| -> u32 { panic!("boom") });
-        let good = Pipeline::start(2, || |n: u32| n * 2);
+        let bad = Pipeline::start(2, None, || |_: u32| -> u32 { panic!("boom") });
+        let good = Pipeline::start(2, None, || |n: u32| n * 2);
         bad.submit(1);
         for n in 0..32u32 {
             good.submit(n);
@@ -715,7 +656,7 @@ mod tests {
         // Sleep-bound jobs overlap even on a single CPU: 8 × 100 ms on 4
         // workers must take far less than the 800 ms serial time.
         let start = std::time::Instant::now();
-        let pipe = Pipeline::start(4, || {
+        let pipe = Pipeline::start(4, None, || {
             |n: u32| {
                 std::thread::sleep(std::time::Duration::from_millis(100));
                 n
@@ -740,13 +681,13 @@ mod tests {
         // pool must run them side by side (4 workers total), so the
         // wall clock stays far under the 800 ms serial time.
         let start = std::time::Instant::now();
-        let a = Pipeline::start(2, || {
+        let a = Pipeline::start(2, None, || {
             |n: u32| {
                 std::thread::sleep(std::time::Duration::from_millis(100));
                 n
             }
         });
-        let b = Pipeline::start(2, || {
+        let b = Pipeline::start(2, None, || {
             |n: u32| {
                 std::thread::sleep(std::time::Duration::from_millis(100));
                 n + 100
@@ -771,7 +712,7 @@ mod tests {
     fn instrumented_pool_records_tracks_spans_and_depth() {
         let rec = Recorder::new();
         {
-            let pipe = Pipeline::start_instrumented(
+            let pipe = Pipeline::start(
                 3,
                 PoolTelemetry::from(Some(&rec), "pack", "pack.segment"),
                 || |n: u64| n + 1,
@@ -799,7 +740,7 @@ mod tests {
     #[test]
     fn parallelism_one_runs_inline_on_the_caller() {
         let caller = std::thread::current().id();
-        let pipe = Pipeline::start(1, || {
+        let pipe = Pipeline::start(1, None, || {
             move |n: u32| {
                 assert_eq!(std::thread::current().id(), caller, "task left the caller");
                 n * 3
@@ -812,7 +753,7 @@ mod tests {
             assert_eq!(pipe.next().unwrap(), n * 3);
         }
         // A panicking inline task poisons its pipeline like a pooled one.
-        let bad = Pipeline::start(1, || {
+        let bad = Pipeline::start(1, None, || {
             |n: u32| {
                 assert!(n != 2, "boom");
                 n
@@ -826,7 +767,7 @@ mod tests {
 
     #[test]
     fn dropping_with_unconsumed_work_does_not_hang() {
-        let pipe = Pipeline::start(2, || |n: u32| n);
+        let pipe = Pipeline::start(2, None, || |n: u32| n);
         for n in 0..1000u32 {
             pipe.submit(n);
         }
@@ -845,55 +786,14 @@ mod tests {
             id,
             priority,
             max_parallel: 1,
-            capacity: 4,
             queue: VecDeque::from([Box::new(|| {}) as Task]),
             inflight: 0,
         };
-        let mut st = PoolState {
-            jobs: vec![job(0, 1), job(1, 9)],
-            next_job: 2,
-            workers: 1,
-            shutdown: false,
-            rr: 0,
-        };
+        let mut st =
+            PoolState { jobs: vec![job(0, 1), job(1, 9)], next_job: 2, workers: 1, rr: 0 };
         let order = [take_task(&mut st).map(|t| t.0), take_task(&mut st).map(|t| t.0)];
         assert_eq!(order, [Some(1), Some(0)], "high priority first, then low");
         assert!(take_task(&mut st).is_none(), "nothing left to pick");
-    }
-
-    #[test]
-    fn bounded_submission_blocks_until_space_frees() {
-        // 1 worker, capacity-1 queue: with the worker blocked and one
-        // task queued, a further submit must block until the worker
-        // dequeues the first task.
-        let pool = SharedPool::new();
-        let job = Arc::new(pool.job(JobConfig { priority: 0, max_parallel: 1, capacity: 1 }));
-        let (release_tx, release_rx) = mpsc::channel::<()>();
-        let (started_tx, started_rx) = mpsc::channel::<()>();
-        job.submit(Box::new(move || {
-            started_tx.send(()).unwrap();
-            release_rx.recv().unwrap();
-        }));
-        started_rx.recv().unwrap();
-        job.submit(Box::new(|| {})); // fills the capacity-1 queue
-        let submitted = Arc::new(AtomicBool::new(false));
-        let handle = {
-            let job = Arc::clone(&job);
-            let submitted = Arc::clone(&submitted);
-            std::thread::spawn(move || {
-                job.submit(Box::new(|| {}));
-                submitted.store(true, Ordering::SeqCst);
-            })
-        };
-        std::thread::sleep(std::time::Duration::from_millis(100));
-        assert!(
-            !submitted.load(Ordering::SeqCst),
-            "submit returned while the queue was at capacity"
-        );
-        release_tx.send(()).unwrap();
-        handle.join().unwrap();
-        assert!(submitted.load(Ordering::SeqCst));
-        drop(Arc::try_unwrap(job).ok());
     }
 
     #[test]

@@ -1,8 +1,7 @@
-//! The pluggable post-compression stage: every predictor-code and
-//! miss-value segment passes through a [`PostCodec`], and which
-//! implementation ran is recorded per container in the flags byte, so
-//! decompression dispatches on the container rather than on local
-//! configuration.
+//! The post-compression stage: every predictor-code and miss-value
+//! segment passes through a [`Codec`], and which backend ran is recorded
+//! per container in the flags byte, so decompression dispatches on the
+//! container rather than on local configuration.
 //!
 //! Three backends ship today, surfaced on the CLI as
 //! `--profile fast|balanced|max`:
@@ -16,8 +15,8 @@
 //! * [`Backend::Fast`] — an order-0 adaptive binary range coder with
 //!   stored-block fallback ([`blockzip::range`]).
 //!
-//! Later throughput work (SIMD entropy stages, zstd-style backends) slots
-//! in as one more [`PostCodec`] implementation and one more id.
+//! A new backend is one more [`Backend`] variant, one more id, and one
+//! more arm in each of [`Codec`]'s methods.
 
 use tcgen_telemetry::Recorder;
 
@@ -98,25 +97,26 @@ impl Backend {
 
     /// Builds a codec instance. Each worker thread owns one, so the
     /// backing scratch buffers are reused across that worker's segments.
-    pub fn codec(self, level: Level) -> Box<dyn PostCodec> {
-        match self {
-            Backend::Max => Box::new(MaxCodec { level, scratch: Scratch::default() }),
-            Backend::Balanced => Box::new(BalancedCodec { level, scratch: Scratch::default() }),
-            Backend::Fast => Box::new(FastCodec { level, scratch: Scratch::default() }),
-        }
+    pub fn codec(self, level: Level) -> Codec {
+        Codec { backend: self, level, scratch: Scratch::default() }
     }
 }
 
 /// One post-compression backend instance: compresses and decompresses
-/// stream segments. Implementations own their scratch state, so a single
-/// instance serves one thread's segments back to back.
-pub trait PostCodec: Send {
-    /// The backend this codec implements.
-    fn backend(&self) -> Backend;
+/// stream segments. It owns its scratch state, so a single instance
+/// serves one thread's segments back to back.
+pub struct Codec {
+    backend: Backend,
+    level: Level,
+    scratch: Scratch,
+}
 
+impl Codec {
     /// Attaches stage-timing probes feeding `blockzip.*` counters.
     /// Observation-only: output bytes are unchanged.
-    fn attach_probes(&mut self, recorder: &Recorder);
+    pub(crate) fn attach_probes(&mut self, recorder: &Recorder) {
+        self.scratch.attach_probes(recorder);
+    }
 
     /// Compresses one segment payload.
     ///
@@ -124,7 +124,16 @@ pub trait PostCodec: Send {
     ///
     /// Returns [`blockzip::Error::TooLarge`] if a framing field would
     /// overflow.
-    fn compress(&mut self, payload: &[u8]) -> Result<Vec<u8>, blockzip::Error>;
+    pub fn compress(&mut self, payload: &[u8]) -> Result<Vec<u8>, blockzip::Error> {
+        let (level, scratch) = (self.level, &mut self.scratch);
+        match self.backend {
+            Backend::Max => blockzip::compress_with_scratch(payload, level, scratch),
+            Backend::Balanced => {
+                blockzip::nosort::compress_with_scratch(payload, level, scratch)
+            }
+            Backend::Fast => blockzip::range::compress_with_scratch(payload, level, scratch),
+        }
+    }
 
     /// Decompresses one segment, failing if the output would exceed
     /// `max_len` bytes.
@@ -133,91 +142,21 @@ pub trait PostCodec: Send {
     ///
     /// Returns a [`blockzip::Error`] on any framing, entropy, or CRC
     /// failure.
-    fn decompress(
-        &mut self,
-        segment: &[u8],
-        max_len: usize,
-    ) -> Result<Vec<u8>, blockzip::Error>;
-}
-
-struct MaxCodec {
-    level: Level,
-    scratch: Scratch,
-}
-
-impl PostCodec for MaxCodec {
-    fn backend(&self) -> Backend {
-        Backend::Max
-    }
-
-    fn attach_probes(&mut self, recorder: &Recorder) {
-        self.scratch.attach_probes(recorder);
-    }
-
-    fn compress(&mut self, payload: &[u8]) -> Result<Vec<u8>, blockzip::Error> {
-        blockzip::compress_with_scratch(payload, self.level, &mut self.scratch)
-    }
-
-    fn decompress(
+    pub fn decompress(
         &mut self,
         segment: &[u8],
         max_len: usize,
     ) -> Result<Vec<u8>, blockzip::Error> {
-        blockzip::decompress_with_scratch(segment, max_len, &mut self.scratch)
-    }
-}
-
-struct BalancedCodec {
-    level: Level,
-    scratch: Scratch,
-}
-
-impl PostCodec for BalancedCodec {
-    fn backend(&self) -> Backend {
-        Backend::Balanced
-    }
-
-    fn attach_probes(&mut self, recorder: &Recorder) {
-        self.scratch.attach_probes(recorder);
-    }
-
-    fn compress(&mut self, payload: &[u8]) -> Result<Vec<u8>, blockzip::Error> {
-        blockzip::nosort::compress_with_scratch(payload, self.level, &mut self.scratch)
-    }
-
-    fn decompress(
-        &mut self,
-        segment: &[u8],
-        max_len: usize,
-    ) -> Result<Vec<u8>, blockzip::Error> {
-        blockzip::nosort::decompress_with_scratch(segment, max_len, &mut self.scratch)
-    }
-}
-
-struct FastCodec {
-    level: Level,
-    scratch: Scratch,
-}
-
-impl PostCodec for FastCodec {
-    fn backend(&self) -> Backend {
-        Backend::Fast
-    }
-
-    fn attach_probes(&mut self, recorder: &Recorder) {
-        self.scratch.attach_probes(recorder);
-    }
-
-    fn compress(&mut self, payload: &[u8]) -> Result<Vec<u8>, blockzip::Error> {
-        blockzip::range::compress_with_scratch(payload, self.level, &mut self.scratch)
-    }
-
-    fn decompress(
-        &mut self,
-        segment: &[u8],
-        max_len: usize,
-    ) -> Result<Vec<u8>, blockzip::Error> {
-        blockzip::range::decompress_with_scratch(segment, max_len, &mut self.scratch)
+        let scratch = &mut self.scratch;
+        match self.backend {
+            Backend::Max => blockzip::decompress_with_scratch(segment, max_len, scratch),
+            Backend::Balanced => {
+                blockzip::nosort::decompress_with_scratch(segment, max_len, scratch)
+            }
+            Backend::Fast => {
+                blockzip::range::decompress_with_scratch(segment, max_len, scratch)
+            }
+        }
     }
 }
 
@@ -242,7 +181,7 @@ mod tests {
             [b"", b"code stream 000000000001111", [7u8; 50_000].as_slice()];
         for backend in Backend::ALL {
             let mut codec = backend.codec(Level::BEST);
-            assert_eq!(codec.backend(), backend);
+            assert_eq!(codec.backend, backend);
             for payload in payloads {
                 let packed = codec.compress(payload).unwrap();
                 let unpacked = codec.decompress(&packed, payload.len()).unwrap();

@@ -8,15 +8,15 @@ Usage:
 Every algorithm in the suite is implemented in-repo and deterministic,
 so per-(algorithm, trace kind) compressed sizes must match the baseline
 exactly; any deviation means an engine change altered the emitted
-streams and fails the check. Throughput numbers vary with the runner's
-hardware and are printed for information only.
+streams and fails the check. Throughput numbers are single passes that
+vary with the runner's hardware and are printed for information only;
+repeated speed runs with medians and spreads are the end-to-end
+benchmark's job (`e2ebench`, declared in BENCHMARK.json).
 
 The `TCgen-fast` and `TCgen-balanced` profile rows are the exception:
 their backends are free to improve their encodings, so their sizes are
 reported but not enforced. Only the default `--profile max` container
-(the `TCgen` row) is golden-pinned. The `checkpoint_speed` object is
-likewise informational: checkpointed containers carry predictor-state
-snapshots whose sizes and timings may evolve freely.
+(the `TCgen` row) is golden-pinned.
 
 The --tune-report mode summarizes a `tcgen tune --json` report instead:
 it prints the tuned-vs-default compressed-size ratio and the evaluation
@@ -40,43 +40,6 @@ def rows(path):
     return {(r["algorithm"], r["trace_kind"]): r for r in data["results"]}
 
 
-def telemetry_overhead(path):
-    """Prints the run's stats-on vs stats-off throughput, if recorded.
-
-    Informational only: the byte-identity of telemetry is CI-gated
-    elsewhere; this line just tracks the time cost of leaving a
-    recorder attached so regressions are visible in the job log.
-    """
-    with open(path) as f:
-        overhead = json.load(f).get("telemetry_overhead")
-    if overhead is None:
-        return
-    print(
-        f"telemetry overhead: {overhead['stats_off_mb_per_s']:.1f} MB/s stats-off, "
-        f"{overhead['stats_on_mb_per_s']:.1f} MB/s stats-on, "
-        f"fraction {overhead['overhead_fraction']:.4f} (informational)"
-    )
-
-
-def metrics_overhead(path):
-    """Prints the serve-style metrics cost over a plain recorder, if
-    recorded.
-
-    Informational only, like `telemetry_overhead`: per-job histogram
-    records and the window sampler run off the compression hot path, so
-    this line just keeps their measured cost visible in the job log.
-    """
-    with open(path) as f:
-        overhead = json.load(f).get("metrics_overhead")
-    if overhead is None:
-        return
-    print(
-        f"metrics overhead: {overhead['recorder_only_mb_per_s']:.1f} MB/s recorder-only, "
-        f"{overhead['metrics_on_mb_per_s']:.1f} MB/s with histograms+sampler, "
-        f"fraction {overhead['overhead_fraction']:.4f} (informational)"
-    )
-
-
 def decompress_deltas(baseline, current):
     """Prints per-algorithm decompress-throughput deltas vs the baseline.
 
@@ -95,88 +58,6 @@ def decompress_deltas(baseline, current):
             f"note {'/'.join(key)}: decompress {cd:.1f} MB/s vs baseline "
             f"{bd:.1f} MB/s ({delta:+.0f}%; informational)"
         )
-
-
-def profile_speed(baseline_path, path):
-    """Prints the per-profile timing on the big reference trace, if recorded.
-
-    Informational only: wall times depend on the runner, and the fast
-    and balanced encodings are free to evolve. The line keeps the
-    measured trade-off visible in the job log next to the sizes it
-    buys, with decompress-throughput deltas against the baseline run.
-    """
-    with open(path) as f:
-        speed = json.load(f).get("profile_speed")
-    if speed is None:
-        return
-    with open(baseline_path) as f:
-        base = json.load(f).get("profile_speed") or {"profiles": []}
-    base_by_name = {p["profile"]: p for p in base["profiles"]}
-    per = ", ".join(
-        f"{p['profile']} {p['compress_s']:.3f}s/{p['compressed_bytes']}B"
-        f" ({p['speedup_vs_max']:.2f}x)"
-        for p in speed["profiles"]
-    )
-    print(
-        f"profile speed on {speed['trace']} ({speed['records']} records, "
-        f"{speed['original_bytes']} bytes): {per} (informational)"
-    )
-    for p in speed["profiles"]:
-        cd = p.get("decompress_mb_per_s")
-        bd = base_by_name.get(p["profile"], {}).get("decompress_mb_per_s")
-        if not cd or not bd:
-            continue
-        delta = (cd / bd - 1.0) * 100.0
-        print(
-            f"note profile {p['profile']}: decompress {cd:.1f} MB/s vs baseline "
-            f"{bd:.1f} MB/s ({delta:+.0f}%; informational)"
-        )
-
-
-def checkpoint_speed(path):
-    """Prints the checkpointed-container rows, if recorded.
-
-    Informational only: checkpointed sizes include predictor-state
-    snapshots whose encodings are free to evolve, and decompression
-    wall times depend on the runner's core count. Only the
-    non-checkpointed max-profile rows in `results` are golden-pinned.
-    """
-    with open(path) as f:
-        speed = json.load(f).get("checkpoint_speed")
-    if speed is None:
-        return
-    per = ", ".join(
-        f"interval {r['checkpoint_blocks']}/t{r['threads']} "
-        f"{r['compressed_bytes']}B {r['decompress_s']:.3f}s decompress"
-        for r in speed["rows"]
-    )
-    print(
-        f"checkpoint speed on {speed['trace']} ({speed['records']} records, "
-        f"block_records {speed['block_records']}): {per} (informational)"
-    )
-
-
-def service_speed(path):
-    """Prints the `tcgen serve` request-throughput rows, if recorded.
-
-    Informational only: requests per second and per-job latency depend
-    entirely on the runner. The service's byte identity against direct
-    CLI output is CI-gated separately; this line just keeps scheduling
-    and framing overhead visible in the job log.
-    """
-    with open(path) as f:
-        speed = json.load(f).get("service_speed")
-    if speed is None:
-        return
-    per = ", ".join(
-        f"{r['scenario']} {r['jobs']}x{r['records_per_job']} records: "
-        f"{r['requests_per_s']:.1f} req/s, {r['mean_job_s']:.3f}s/job"
-        for r in speed["rows"]
-    )
-    print(
-        f"service speed on {speed['trace']} ({speed['records']} records): "
-        f"{per} (informational)"
-    )
 
 
 def tune_report(path):
@@ -235,11 +116,6 @@ def main():
                 f"baseline {b['compress_mb_per_s']:.1f} MB/s; informational)"
             )
     decompress_deltas(baseline, current)
-    telemetry_overhead(sys.argv[2])
-    metrics_overhead(sys.argv[2])
-    profile_speed(sys.argv[1], sys.argv[2])
-    checkpoint_speed(sys.argv[2])
-    service_speed(sys.argv[2])
     sys.exit(1 if failed else 0)
 
 
